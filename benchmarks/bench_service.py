@@ -150,7 +150,10 @@ def run_benchmark(cfg: ExperimentConfig, horizon: int, tmp: Path) -> dict:
     report = {
         "schema": "bench-service/v1",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "manifest": build_manifest(kind="bench", config=cfg, policies=["LFSC"]),
+        "manifest": build_manifest(
+            kind="bench", config=cfg, policies=["LFSC"],
+            extra={"nproc": len(os.sched_getaffinity(0))},
+        ),
         "config": {
             "num_scns": cfg.num_scns,
             "capacity": cfg.capacity,
@@ -225,13 +228,18 @@ def main(argv: list[str] | None = None) -> None:
         help="where to write the JSON report (default: repo-root BENCH_service.json)",
     )
     args = parser.parse_args(argv)
+    if args.horizon is not None and args.horizon <= 0:
+        parser.error(f"--horizon must be a positive slot count, got {args.horizon}")
 
     if args.smoke:
-        scale, horizon = "small", args.horizon or 60
+        scale = "small"
+        horizon = 60 if args.horizon is None else args.horizon
     else:
         scale = args.scale
         env_horizon = os.environ.get("REPRO_BENCH_HORIZON")
-        horizon = args.horizon or (int(env_horizon) if env_horizon else None)
+        horizon = args.horizon
+        if horizon is None and env_horizon:
+            horizon = int(env_horizon)
         if horizon is None:
             horizon = 300 if scale == "paper" else 400
 

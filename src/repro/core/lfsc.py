@@ -24,11 +24,13 @@ Two slot engines implement the identical algorithm
 (``LFSCConfig.engine``):
 
 - ``"batched"`` (default) — the whole slot is laid out as one flat edge
-  list (edge_scn, edge_task, edge_cube, edge_weight) over the bipartite
-  coverage graph; hypercubes are assigned once per slot for the full task
-  batch, Alg. 2 runs for all M SCNs in one
-  :func:`~repro.core.probability.capped_probabilities_batch` call, and the
-  Alg. 3 update is a single scatter over (SCN, cube) pairs.
+  list over the bipartite coverage graph (:class:`repro.env.window.SlotEdges`,
+  precomputed by the windowed slot loops or built at select time); hypercubes
+  are assigned once for the full task batch, Alg. 2 runs for all M SCNs in
+  one :func:`~repro.core.probability.capped_probabilities_batch_into` call,
+  DepRound is one fused walk over every segment
+  (:func:`repro.core.native.walk_segments`), and the Alg. 3 update is a
+  single scatter over (SCN, cube) pairs.
 - ``"reference"`` — the paper-shaped per-SCN loop, kept as the readable
   specification and the A/B baseline.
 
@@ -53,11 +55,13 @@ from repro.core.depround import depround, walk_into
 from repro.core.estimators import CubeStatistics, aggregate_by_cube, importance_weighted
 from repro.core.greedy import greedy_select, greedy_select_edges
 from repro.core.multipliers import LagrangeMultipliers
+# capped_probabilities_batch is imported for perfbench/hooks.py, whose
+# boundary table resolves and times it in this module.
 from repro.core.probability import (
     CappedProbabilities,
     CappedProbabilitiesBatch,
     capped_probabilities,
-    capped_probabilities_batch,
+    capped_probabilities_batch,  # noqa: F401
     capped_probabilities_batch_into,
 )
 from repro.core.update import (
@@ -68,6 +72,7 @@ from repro.core.update import (
 )
 from repro.env.network import NetworkConfig
 from repro.env.simulator import Assignment, SlotFeedback, SlotObservation
+from repro.env.window import classify_edges, precompute_slots
 
 __all__ = ["LFSCPolicy"]
 
@@ -139,38 +144,26 @@ class _EdgeArena:
 class _BatchedSlotCache:
     """The batched select()'s slot state: one flat edge list.
 
-    ``coverage``/``cubes``/``probs`` expose the per-SCN views subclasses and
-    diagnostics expect from the reference :class:`_SlotCache`; the lists are
-    materialized lazily on first access.  ``pre`` carries the windowed
-    slot's :class:`~repro.env.window.SlotEdges` when select() took the
-    precomputed path, letting update() reuse its sorted key and Alg. 3
-    scatter index.
+    ``pre`` is the slot's :class:`~repro.env.window.SlotEdges` (classified
+    for the policy's partition), letting update() reuse its sorted key and
+    Alg. 3 scatter index.  ``coverage``/``cubes``/``probs`` expose the
+    per-SCN views subclasses and diagnostics expect from the reference
+    :class:`_SlotCache`; the lists are materialized lazily on first access.
     """
 
-    __slots__ = (
-        "t", "offsets", "edge_scn", "edge_task", "edge_cube", "batch",
-        "coverage", "pre", "_cubes",
-    )
+    __slots__ = ("t", "pre", "batch", "coverage", "_cubes")
 
     def __init__(
         self,
         t: int,
-        offsets: np.ndarray,
-        edge_scn: np.ndarray,
-        edge_task: np.ndarray,
-        edge_cube: np.ndarray,
+        pre,
         batch: CappedProbabilitiesBatch,
         coverage: list[np.ndarray],
-        pre=None,
     ) -> None:
         self.t = t
-        self.offsets = offsets
-        self.edge_scn = edge_scn
-        self.edge_task = edge_task
-        self.edge_cube = edge_cube
+        self.pre = pre
         self.batch = batch
         self.coverage = coverage
-        self.pre = pre
         self._cubes: list[np.ndarray] | None = None
 
     @property
@@ -184,7 +177,7 @@ class _BatchedSlotCache:
     @property
     def cubes(self) -> list[np.ndarray]:
         if self._cubes is None:
-            self._cubes = np.split(self.edge_cube, self.offsets[1:-1])
+            self._cubes = np.split(self.pre.cube, self.pre.offsets[1:-1])
         return self._cubes
 
     @property
@@ -304,122 +297,36 @@ class LFSCPolicy(OffloadingPolicy):
     def _select_batched(self, slot: SlotObservation) -> Assignment:
         """One flat edge list for the whole slot (bit-equivalent, ~4x faster).
 
-        Per-edge arithmetic (cube assignment, weight gather/normalization,
-        Alg. 2) runs once over all M coverage segments; only the parts that
-        must consume the policy RNG in per-SCN order (DepRound sampling,
-        tie jitter — see :meth:`_edge_scores`) remain a short loop.
+        Every batched select runs the slot kernel of
+        :meth:`_select_batched_pre`.  A slot that arrives without a usable
+        layout — a ``window=0`` run, a slot a wrapper rewrote, or a
+        precomputed slot whose cubes are missing (stateful partitions are
+        never classified ahead of time) or were classified for another
+        partition — is laid out here through the window layer, against the
+        partition current at select time.
         """
         network = self._require_reset()
-        assert self.log_w is not None
-        cfg = self.config
-        M = network.num_scns
-        c = network.capacity
-
+        partition = self.config.partition
         pre = getattr(slot, "edges", None)
-        if pre is not None and pre.flat is not None and (
-            pre.partition is cfg.partition or pre.partition == cfg.partition
+        if pre is None:
+            slot = precompute_slots([slot], partition=partition)[0]
+            pre = slot.edges
+        elif pre.flat is None or not (
+            pre.partition is partition or pre.partition == partition
         ):
-            return self._select_batched_pre(slot, pre, network)
-
-        coverage = [np.asarray(cov, dtype=np.int64) for cov in slot.coverage]
-        lengths = np.fromiter((cov.shape[0] for cov in coverage), dtype=np.int64, count=M)
-        offsets = np.zeros(M + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        E = int(offsets[-1])
-        if E == 0:
-            empty = np.empty(0, dtype=np.int64)
-            empty_batch = CappedProbabilitiesBatch(
-                p=np.empty(0),
-                capped=np.empty(0, dtype=bool),
-                thresholds=np.full(M, np.nan),
-                offsets=offsets,
-            )
-            self._cache = _BatchedSlotCache(
-                slot.t, offsets, empty, empty, empty, empty_batch, coverage
-            )
-            return Assignment.empty()
-
-        with obs_runtime.span("lfsc.alg2"):
-            edge_task = np.concatenate(coverage)
-            # The greedy/update kernels rely on sorted within-segment task
-            # ids; workloads emit them sorted, so the common case is one
-            # vectorized check over the whole edge list.
-            drops = np.flatnonzero(np.diff(edge_task) < 0)
-            if drops.size:
-                seg_of_drop = np.searchsorted(offsets, drops, side="right") - 1
-                boundary = offsets[seg_of_drop + 1] - 1  # last index of that segment
-                for m in np.unique(seg_of_drop[drops != boundary]).tolist():
-                    coverage[m] = np.sort(coverage[m])
-                    edge_task[offsets[m] : offsets[m + 1]] = coverage[m]
-
-            edge_scn = np.repeat(np.arange(M, dtype=np.int64), lengths)
-            # Hypercubes once per slot for the full task batch — the coverage
-            # overlap means each task would otherwise be classified ~2x.
-            task_cubes = cfg.partition.assign(slot.tasks.contexts)
-            edge_cube = task_cubes[edge_task]
-
-            logs = self.log_w[edge_scn, edge_cube]
-            # Per-segment max (order-independent, so reduceat is exact);
-            # empty segments produce garbage lanes that np.repeat(…, lengths)
-            # drops.
-            seg_start = np.minimum(offsets[:-1], E - 1)
-            seg_max = np.maximum.reduceat(logs, seg_start)
-            w = np.maximum(np.exp(logs - np.repeat(seg_max, lengths)), _LOG_W_FLOOR)
-            cpb = capped_probabilities_batch(w, offsets, c, cfg.gamma)
-
-        # DepRound and the tie jitter draw from the policy RNG per SCN (in
-        # SCN order) so both engines consume the identical stream; this loop
-        # also routes through the subclass _edge_scores hook.  When the hook
-        # is not overridden, score the slices directly (same arithmetic and
-        # draws, minus the per-segment view construction).
-        scores = np.empty(E)
-        bounds = offsets.tolist()
-        with obs_runtime.span("lfsc.depround"):
-            if type(self)._edge_scores is LFSCPolicy._edge_scores:
-                use_depround = cfg.assignment_mode == "depround"
-                jitter = cfg.tie_jitter
-                rng = self.rng
-                p = cpb.p
-                for m in range(M):
-                    s, e = bounds[m], bounds[m + 1]
-                    if s == e:
-                        continue
-                    seg = p[s:e]
-                    out = scores[s:e]
-                    if use_depround:
-                        np.add(seg, depround(seg, rng), out=out)
-                        if jitter > 0:
-                            out += jitter * rng.random(e - s)
-                    elif jitter > 0:
-                        np.add(seg, jitter * rng.random(e - s), out=out)
-                    else:
-                        out[...] = seg
-            else:
-                for m in range(M):
-                    scores[bounds[m] : bounds[m + 1]] = self._edge_scores(
-                        cpb.segment(m), coverage[m], slot
-                    )
-
-        self._cache = _BatchedSlotCache(
-            slot.t, offsets, edge_scn, edge_task, edge_cube, cpb, coverage
-        )
-        ctx = obs_runtime.active()
-        if ctx is not None:
-            ctx.set_slot_field("edges", E)
-        with obs_runtime.span("lfsc.greedy"):
-            return greedy_select_edges(edge_scn, edge_task, scores, M, c, len(slot.tasks))
+            pre = classify_edges(pre, partition.assign(slot.tasks.contexts), partition)
+        return self._select_batched_pre(slot, pre, network)
 
     def _select_batched_pre(self, slot: SlotObservation, pre, network) -> Assignment:
-        """The batched slot kernel on a window-precomputed edge list.
+        """The batched slot kernel on a precomputed edge list.
 
         The slot's layout (edge arrays, segment offsets, hypercube gather
         index — see :class:`repro.env.window.SlotEdges`) arrives prebuilt, so
         this path is pure per-slot arithmetic: gather log-weights through the
         precomputed flat index, run Alg. 2 into the reusable arena, and draw
-        DepRound/jitter per SCN in the frozen stream order.  Every staged
-        operation mirrors :meth:`_select_batched` exactly (same ufuncs, same
-        operand values, same RNG consumption), so trajectories are
-        bit-identical to the per-slot path.
+        DepRound/jitter in the frozen per-SCN stream order.  The per-edge
+        arithmetic matches :meth:`_select_reference` to the last ulp and
+        consumes the policy RNG identically, so the engines agree bit for bit.
         """
         assert self.log_w is not None
         cfg = self.config
@@ -429,16 +336,13 @@ class LFSCPolicy(OffloadingPolicy):
         coverage = slot.coverage
 
         if E == 0:
-            empty = np.empty(0, dtype=np.int64)
             empty_batch = CappedProbabilitiesBatch(
                 p=np.empty(0),
                 capped=np.empty(0, dtype=bool),
                 thresholds=np.full(M, np.nan),
                 offsets=pre.offsets,
             )
-            self._cache = _BatchedSlotCache(
-                slot.t, pre.offsets, empty, empty, empty, empty_batch, coverage, pre=pre
-            )
+            self._cache = _BatchedSlotCache(slot.t, pre, empty_batch, coverage)
             return Assignment.empty()
 
         arena = self._arena
@@ -482,9 +386,7 @@ class LFSCPolicy(OffloadingPolicy):
                         cpb.segment(m), coverage[m], slot
                     )
 
-        self._cache = _BatchedSlotCache(
-            slot.t, pre.offsets, pre.scn, pre.task, pre.cube, cpb, coverage, pre=pre
-        )
+        self._cache = _BatchedSlotCache(slot.t, pre, cpb, coverage)
         ctx = obs_runtime.active()
         if ctx is not None:
             ctx.set_slot_field("edges", E)
@@ -735,28 +637,24 @@ class LFSCPolicy(OffloadingPolicy):
         F = cfg.partition.num_cubes
         asn = feedback.assignment
 
-        edge_scn, edge_task, edge_cube = cache.edge_scn, cache.edge_task, cache.edge_cube
-        E = edge_task.shape[0]
+        pre = cache.pre
+        E = pre.num_edges
         if E == 0:
             return
 
         lam_qos = self.multipliers.qos if cfg.use_lagrangian else np.zeros(M)
         lam_res = self.multipliers.resource if cfg.use_lagrangian else np.zeros(M)
 
-        # Windowed slots arrive with the sorted pair key and the Alg. 3
+        # The slot's layout carries the sorted pair key and the Alg. 3
         # scatter index prebuilt; the arena's w̃ buffer (dead after select)
         # doubles as the estimate vector.
-        pre = cache.pre
-        if pre is not None:
-            util_hat = self._arena.wtilde[:E]
-            util_hat[:] = 0.0
-        else:
-            util_hat = np.zeros(E)
+        util_hat = self._arena.wtilde[:E]
+        util_hat[:] = 0.0
         if len(asn):
             # Locate each assigned pair in the edge list: keys are strictly
             # increasing (segments in SCN order, tasks sorted within).
             n = np.int64(len(slot.tasks))
-            edge_key = pre.key if pre is not None else edge_scn * n + edge_task
+            edge_key = pre.key
             pos = np.searchsorted(edge_key, asn.scn * n + asn.task)
             if not np.array_equal(edge_key[pos], asn.scn * n + asn.task):
                 raise RuntimeError("assignment contains a pair outside the slot's edge list")
@@ -772,7 +670,7 @@ class LFSCPolicy(OffloadingPolicy):
             # Importance weighting: unselected edges keep estimate 0.
             util_hat[pos] = util / cache.p[pos]
 
-        flat = pre.flat if pre is not None else edge_scn * F + edge_cube
+        flat = pre.flat
         sums = np.zeros(M * F)
         counts = np.zeros(M * F, dtype=np.int64)
         if not _native.scatter_update(flat, util_hat, sums, counts):
@@ -790,7 +688,7 @@ class LFSCPolicy(OffloadingPolicy):
         self.log_w[upd // F, upd % F] += exponents[keep]
 
         if len(asn):
-            self.stats.observe(asn.scn, edge_cube[pos], feedback.g, feedback.v, feedback.q)
+            self.stats.observe(asn.scn, pre.cube[pos], feedback.g, feedback.v, feedback.q)
 
     # -- checkpoint/restore ----------------------------------------------------
 

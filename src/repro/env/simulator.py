@@ -29,7 +29,7 @@ import numpy as np
 from repro.env.channel import BlockageChannel
 from repro.env.network import NetworkConfig
 from repro.env.processes import GroundTruth
-from repro.env.window import precompute_window
+from repro.env.window import precompute_eligibility, precompute_window
 from repro.env.window_cache import cached_window, window_key_base
 from repro.env.workload import SlotWorkload, Workload
 from repro.obs import metrics as obs_metrics
@@ -46,6 +46,8 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "DEFAULT_WINDOW",
+    "expected_pair_stats",
+    "realize_feedback",
 ]
 
 #: Default slot-streaming window: slots are precomputed in batches of this
@@ -170,6 +172,69 @@ class SlotFeedback:
     def per_scn_reward(self, num_scns: int) -> np.ndarray:
         """Σ_i g_i per SCN — realized compound reward."""
         return np.bincount(self.assignment.scn, weights=self.g, minlength=num_scns)
+
+
+def realize_feedback(
+    truth: GroundTruth,
+    t: int,
+    slot: SlotWorkload,
+    assignment: Assignment,
+    rng: np.random.Generator,
+    channel: BlockageChannel | None = None,
+    channel_rng: np.random.Generator | None = None,
+) -> tuple[SlotFeedback, np.ndarray | None, np.ndarray | None]:
+    """Realize the bandit feedback of ``assignment`` (step 3 of the loop).
+
+    The hidden processes are drawn for the assigned pairs only; the optional
+    blockage channel multiplies into v and g = u·v/q.  A precomputed slot's
+    per-task truth cells are passed to ``realize``, which skips the per-call
+    classification without touching a draw.  Returns ``(feedback,
+    pair_contexts, pair_cells)`` — the pair inputs
+    :func:`expected_pair_stats` reuses (None for an empty assignment or a
+    slot without cells).
+    """
+    if len(assignment) == 0:
+        u = v = q = g = np.empty(0)
+        return SlotFeedback(assignment=assignment, u=u, v=v, q=q, g=g), None, None
+    pair_contexts = slot.tasks.contexts[assignment.task]
+    truth_cells = getattr(slot, "truth_cells", None)
+    if truth_cells is None:
+        pair_cells = None
+        u, v, q = truth.realize(t, pair_contexts, assignment.scn, rng)
+    else:
+        pair_cells = truth_cells[assignment.task]
+        u, v, q = truth.realize(t, pair_contexts, assignment.scn, rng, cells=pair_cells)
+    if channel is not None:
+        v = v * channel.link_up(t, assignment.scn, assignment.task, channel_rng)
+    g = u * v / q
+    return SlotFeedback(assignment=assignment, u=u, v=v, q=q, g=g), pair_contexts, pair_cells
+
+
+def expected_pair_stats(
+    truth: GroundTruth,
+    t: int,
+    pair_contexts: np.ndarray,
+    scn: np.ndarray,
+    pair_cells: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected ḡ, v̄ and q̄ of the assigned pairs (the paper's V1/V2 inputs).
+
+    Only the <= M·c assigned pairs are needed, so the truth is evaluated
+    pair-wise: one fused grid pass when the pairs' cells are known, else the
+    two pair calls, else (duck-typed truths without the pair API) the dense
+    ``(M, n)`` tables — component-wise identical results.
+    """
+    stats_fn = getattr(truth, "slot_pair_stats", None)
+    if pair_cells is not None and stats_fn is not None:
+        return stats_fn(t, pair_contexts, scn, cells=pair_cells)
+    if hasattr(truth, "expected_compound_pairs") and hasattr(truth, "means_pairs"):
+        exp_g = truth.expected_compound_pairs(t, pair_contexts, scn)
+        _, p_v, mu_q = truth.means_pairs(t, pair_contexts, scn)
+        return exp_g, p_v, mu_q
+    rows = np.arange(scn.shape[0])
+    exp_g = truth.expected_compound(t, pair_contexts)[scn, rows]
+    p_v_dense, mu_q_dense = truth.means(t, pair_contexts)[1:]
+    return exp_g, p_v_dense[scn, rows], mu_q_dense[scn, rows]
 
 
 @runtime_checkable
@@ -396,16 +461,12 @@ class Simulation:
     def _effective_window(self, policy: PolicyProtocol, window: int | None) -> int:
         """Resolve the slot-streaming window size for this (policy, workload).
 
-        ``None`` → :data:`DEFAULT_WINDOW` when eligible, else 0 (per-slot).
-        Windowing requires a windowable workload (slots must be a pure
-        function of ``(t, rng)`` consumed in order) and is skipped for the
-        reference engine, which exists as the readable per-slot baseline.
+        ``None`` → :data:`DEFAULT_WINDOW` when eligible, else 0 (per-slot);
+        eligibility is :func:`~repro.env.window.precompute_eligibility`.
         """
         if window is not None and window < 0:
             raise ValueError(f"window must be >= 0, got {window}")
-        if not getattr(self.workload, "windowable", False):
-            return 0
-        if getattr(getattr(policy, "config", None), "engine", None) == "reference":
+        if not precompute_eligibility(self.workload, policy)[0]:
             return 0
         return DEFAULT_WINDOW if window is None else int(window)
 
@@ -465,18 +526,10 @@ class Simulation:
 
         M = self.network.num_scns
         alpha, beta = self.network.alpha, self.network.beta
-        has_pair_api = hasattr(self.truth, "expected_compound_pairs") and hasattr(
-            self.truth, "means_pairs"
-        )
         window_size = self._effective_window(policy, window)
         use_window = window_size > 0
-        stats_fn = getattr(self.truth, "slot_pair_stats", None)
         if use_window:
-            # Only immutable partitions may be classified ahead of time; a
-            # stateful one (adaptive refinement) would reassign mid-window.
-            win_partition = getattr(policy, "context_partition", None)
-            if win_partition is not None and not getattr(win_partition, "windowable", False):
-                win_partition = None
+            win_partition = precompute_eligibility(self.workload, policy)[1]
             win_cells_fn = getattr(self.truth, "context_cells", None)
             win_slots: tuple = ()
             win_start = win_end = 0
@@ -542,31 +595,11 @@ class Simulation:
             if self.validate_assignments:
                 assignment.validate(slot, self.network.capacity)
 
-            pair_cells = None
-            if len(assignment) > 0:
-                pair_contexts = slot.tasks.contexts[assignment.task]
-                truth_cells = getattr(slot, "truth_cells", None)
-                if truth_cells is None:
-                    u, v, q = self.truth.realize(
-                        t, pair_contexts, assignment.scn, realize_rng
-                    )
-                else:
-                    # Windowed slots carry each task's ground-truth grid cell
-                    # (precomputed once per window); passing it skips the
-                    # per-call classification without touching a draw.
-                    pair_cells = truth_cells[assignment.task]
-                    u, v, q = self.truth.realize(
-                        t, pair_contexts, assignment.scn, realize_rng, cells=pair_cells
-                    )
-                if self.channel is not None:
-                    v = v * self.channel.link_up(t, assignment.scn, assignment.task, channel_rng)
-                g = u * v / q
-            else:
-                u = v = q = g = np.empty(0)
+            feedback, pair_contexts, pair_cells = realize_feedback(
+                self.truth, t, slot, assignment, realize_rng, self.channel, channel_rng
+            )
 
-            feedback = SlotFeedback(assignment=assignment, u=u, v=v, q=q, g=g)
-
-            reward[t] = g.sum()
+            reward[t] = feedback.g.sum()
             comp = feedback.per_scn_completed(M)
             cons = feedback.per_scn_consumption(M)
             completed[t] = comp
@@ -578,31 +611,10 @@ class Simulation:
             if record_expected:
                 # The paper's V1/V2 use the expected completed count Σ v̄
                 # and expected consumption Σ q̄ of the selected set (§3.2).
-                # Only the <= M·c assigned pairs are needed, so evaluate the
-                # truth pair-wise instead of building dense (M, n) tables;
-                # duck-typed truths without the pair API fall back to dense.
                 if len(assignment) > 0:
-                    if pair_cells is not None and stats_fn is not None:
-                        # One fused grid pass using the precomputed cells —
-                        # component-wise identical to the two calls below.
-                        exp_g, p_v, mu_q = stats_fn(
-                            t, pair_contexts, assignment.scn, cells=pair_cells
-                        )
-                    elif has_pair_api:
-                        exp_g = self.truth.expected_compound_pairs(
-                            t, pair_contexts, assignment.scn
-                        )
-                        _, p_v, mu_q = self.truth.means_pairs(
-                            t, pair_contexts, assignment.scn
-                        )
-                    else:
-                        rows = np.arange(len(assignment))
-                        exp_g = self.truth.expected_compound(t, pair_contexts)[
-                            assignment.scn, rows
-                        ]
-                        p_v_dense, mu_q_dense = self.truth.means(t, pair_contexts)[1:]
-                        p_v = p_v_dense[assignment.scn, rows]
-                        mu_q = mu_q_dense[assignment.scn, rows]
+                    exp_g, p_v, mu_q = expected_pair_stats(
+                        self.truth, t, pair_contexts, assignment.scn, pair_cells
+                    )
                     expected_reward[t] = exp_g.sum()
                     exp_comp = np.bincount(assignment.scn, weights=p_v, minlength=M)
                     exp_cons = np.bincount(assignment.scn, weights=mu_q, minlength=M)

@@ -8,12 +8,18 @@ vectorized pass:
 
 - :func:`precompute_window` pulls W slots from the workload (through
   :meth:`~repro.env.workload.Workload.sample_slots`, which preserves the
-  frozen per-slot RNG draw order), then builds each slot's
-  :class:`SlotEdges` — the flat (scn, task) edge list with segment offsets,
-  the sorted membership key the assignment validator needs, and optionally
-  the per-edge hypercube indices for the learner's partition — plus the
-  ground-truth grid cell per task.  Cube and cell classification run *once*
-  over the whole window's concatenated contexts.
+  frozen per-slot RNG draw order) and hands them to the derive step.
+- :func:`precompute_slots` is that derive step, for any list of slots: it
+  builds each slot's :class:`SlotEdges` — the flat (scn, task) edge list
+  with segment offsets, the sorted membership key the assignment validator
+  needs, and optionally the per-edge hypercube indices for the learner's
+  partition — plus the ground-truth grid cell per task.  Cube and cell
+  classification run *once* over all the slots' concatenated contexts.  The
+  online session runs it on every slot it serves (W = 1), including slots
+  built from external arrivals, and the batched LFSC select runs it on any
+  slot that arrives without a usable layout.
+- :func:`precompute_eligibility` is the one rule for whether a slot loop
+  precomputes slots for a policy, and with which partition.
 - :class:`PrecomputedSlot` is a :class:`~repro.env.workload.SlotWorkload`
   that carries the precomputed extras; consumers discover them by duck
   typing (``getattr(slot, "edges", None)``), so every policy and the
@@ -27,6 +33,7 @@ both assignment modes, and window sizes straddling the horizon).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +41,15 @@ import numpy as np
 
 from repro.env.workload import SlotWorkload, Workload
 
-__all__ = ["SlotEdges", "PrecomputedSlot", "SlotWindow", "precompute_window"]
+__all__ = [
+    "SlotEdges",
+    "PrecomputedSlot",
+    "SlotWindow",
+    "classify_edges",
+    "precompute_eligibility",
+    "precompute_slots",
+    "precompute_window",
+]
 
 
 @dataclass(frozen=True)
@@ -174,43 +189,73 @@ def _build_edges(
     )
 
 
-def precompute_window(
-    workload: Workload,
-    t0: int,
-    count: int,
-    rng: np.random.Generator,
+def classify_edges(
+    edges: SlotEdges, task_cubes: np.ndarray, partition: object
+) -> SlotEdges:
+    """``edges`` plus each edge's hypercube and the Alg. 3 scatter key.
+
+    ``task_cubes`` is ``partition.assign`` over the slot's task contexts;
+    the edge gather and the ``scn·F + cube`` key are computed here, with F
+    snapshotted from ``partition.num_cubes``.
+    """
+    cube = task_cubes[edges.task]
+    F = partition.num_cubes
+    return dataclasses.replace(
+        edges,
+        cube=cube,
+        flat=edges.scn * np.int64(F) + cube,
+        partition=partition,
+        num_cubes=F,
+    )
+
+
+def precompute_eligibility(workload: object, policy: object) -> tuple[bool, object | None]:
+    """Whether ``policy`` runs on precomputed slots, and the partition to use.
+
+    Returns ``(eligible, partition)``.  Slots are precomputed only for a
+    windowable workload (slots a pure function of ``(t, rng)`` consumed in
+    order) and a policy not on the reference engine, which stays the
+    readable per-slot baseline.  ``partition`` is the policy's
+    ``context_partition`` when it is immutable (``windowable``); a stateful
+    one (adaptive refinement) would reassign cubes between classification
+    and use, so it is None and the policy classifies at select time.
+    """
+    if not getattr(workload, "windowable", False):
+        return False, None
+    if getattr(getattr(policy, "config", None), "engine", None) == "reference":
+        return False, None
+    partition = getattr(policy, "context_partition", None)
+    if partition is not None and not getattr(partition, "windowable", False):
+        partition = None
+    return True, partition
+
+
+def precompute_slots(
+    raw_slots: Sequence[SlotWorkload],
     *,
     partition: object | None = None,
     context_cells: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> SlotWindow:
-    """Generate and precompute slots ``t0 .. t0+count-1`` in one pass.
+) -> list[PrecomputedSlot]:
+    """Derive each slot's :class:`SlotEdges`, cubes and truth cells.
+
+    The derive half of :func:`precompute_window`, for any list of slots that
+    share one SCN count — a window drawn from the workload, one slot built
+    from external arrivals, or one a policy wrapper rewrote.  No random draw
+    happens here.
 
     Parameters
     ----------
-    workload:
-        Must be windowable (``workload.windowable``); slots are drawn via
-        :meth:`~repro.env.workload.Workload.sample_slots`, which consumes
-        the workload RNG in exactly the per-slot order.
     partition:
         The learner's :class:`~repro.core.hypercube.ContextPartition`; when
         given, every edge's hypercube index (and the Alg. 3 ``scn·F + cube``
-        scatter key) is classified once over the window's contexts.
+        scatter key) is classified once over all slots' contexts.
     context_cells:
         The truth's ``context_cells`` bound method; when given, each task's
         ground-truth grid cell is precomputed the same way.
-
-    Returns
-    -------
-    SlotWindow
-        ``count`` :class:`PrecomputedSlot` objects sharing one batched
-        classification pass.
     """
-    if count <= 0:
-        raise ValueError(f"count must be >= 1, got {count}")
-    raw_slots = workload.sample_slots(t0, count, rng)
-
+    count = len(raw_slots)
     coverage_lists = [_normalize_coverage(s.coverage) for s in raw_slots]
-    # One concatenate over all W·M coverage segments, then per-slot views.
+    # One concatenate over all count·M coverage segments, then per-slot views.
     parts: list[np.ndarray] = []
     seg_lengths: list[np.ndarray] = []
     for cov in coverage_lists:
@@ -219,16 +264,14 @@ def precompute_window(
             np.fromiter((c.shape[0] for c in cov), dtype=np.int64, count=len(cov))
         )
     all_lengths = np.concatenate(seg_lengths) if seg_lengths else np.empty(0, np.int64)
-    all_task = (
-        np.concatenate(parts) if parts else np.empty(0, np.int64)
-    )
+    all_task = np.concatenate(parts) if parts else np.empty(0, np.int64)
     M = raw_slots[0].num_scns if raw_slots else 0
     scn_pattern = np.tile(np.arange(M, dtype=np.int64), count)
     all_scn = np.repeat(scn_pattern, all_lengths)
 
-    # Classification runs once over the window's concatenated contexts; the
-    # grid lookups are pure row-wise maps, so batching them is bit-identical
-    # to per-slot classification.
+    # Classification runs once over the concatenated contexts; the grid
+    # lookups are pure row-wise maps, so batching them is bit-identical to
+    # per-slot classification.
     ctx_offsets = np.zeros(count + 1, dtype=np.int64)
     for i, s in enumerate(raw_slots):
         ctx_offsets[i + 1] = ctx_offsets[i] + len(s.tasks)
@@ -257,40 +300,47 @@ def precompute_window(
             offsets,
             lengths,
         )
-        if all_cubes is not None and partition is not None:
-            task_cubes = all_cubes[ctx_offsets[i] : ctx_offsets[i + 1]]
-            cube = task_cubes[edges.task]
-            F = partition.num_cubes
-            edges = SlotEdges(
-                offsets=edges.offsets,
-                lengths=edges.lengths,
-                lengths_f=edges.lengths_f,
-                bounds=edges.bounds,
-                seg_start=edges.seg_start,
-                scn=edges.scn,
-                task=edges.task,
-                key=edges.key,
-                seg_len_edge=edges.seg_len_edge,
-                num_tasks=edges.num_tasks,
-                cube=cube,
-                flat=edges.scn * np.int64(F) + cube,
-                partition=partition,
-                num_cubes=F,
-            )
-        truth_cells = (
-            None
-            if all_cells is None
-            else all_cells[ctx_offsets[i] : ctx_offsets[i + 1]]
-        )
+        lo, hi = ctx_offsets[i], ctx_offsets[i + 1]
+        if all_cubes is not None:
+            edges = classify_edges(edges, all_cubes[lo:hi], partition)
         slots.append(
             PrecomputedSlot(
                 t=raw.t,
                 tasks=raw.tasks,
                 coverage=coverage,
                 edges=edges,
-                truth_cells=truth_cells,
+                truth_cells=None if all_cells is None else all_cells[lo:hi],
             )
         )
         edge_pos += E
         seg_pos += M
+    return slots
+
+
+def precompute_window(
+    workload: Workload,
+    t0: int,
+    count: int,
+    rng: np.random.Generator,
+    *,
+    partition: object | None = None,
+    context_cells: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> SlotWindow:
+    """Generate and precompute slots ``t0 .. t0+count-1`` in one pass.
+
+    The draw — :meth:`~repro.env.workload.Workload.sample_slots`, which
+    consumes the workload RNG in exactly the per-slot order (so the
+    workload must be windowable) — followed by the derive step,
+    :func:`precompute_slots` with ``partition`` and ``context_cells``.
+
+    Returns
+    -------
+    SlotWindow
+        ``count`` :class:`PrecomputedSlot` objects sharing one batched
+        classification pass.
+    """
+    if count <= 0:
+        raise ValueError(f"count must be >= 1, got {count}")
+    raw_slots = workload.sample_slots(t0, count, rng)
+    slots = precompute_slots(raw_slots, partition=partition, context_cells=context_cells)
     return SlotWindow(start=t0, slots=tuple(slots))

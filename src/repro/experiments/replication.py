@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.env.simulator import SimulationResult
 from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -215,6 +214,10 @@ def _aggregate(
             mean = float(samples.mean())
             std = float(samples.std(ddof=1)) if n > 1 else 0.0
             if n > 1 and std > 0:
+                # Imported here: scipy.stats is slow to import and only the
+                # confidence intervals need it.
+                from scipy import stats
+
                 t_crit = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
                 half = t_crit * std / np.sqrt(n)
             else:

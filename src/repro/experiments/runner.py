@@ -27,6 +27,7 @@ from repro.env.geometry import CoverageSampler
 from repro.env.network import NetworkConfig
 from repro.env.processes import GroundTruth, PiecewiseConstantTruth
 from repro.env.simulator import PolicyProtocol, Simulation, SimulationResult
+from repro.env.window import precompute_eligibility
 from repro.env.window_cache import (
     export_window_state,
     import_window_state,
@@ -348,9 +349,7 @@ def _prefill_window_state(cfg: ExperimentConfig, policies: Sequence[str]) -> tup
         size = sim._effective_window(policy, cfg.window)
         if size <= 0:
             continue
-        part = getattr(policy, "context_partition", None)
-        if part is not None and not getattr(part, "windowable", False):
-            part = None
+        part = precompute_eligibility(sim.workload, policy)[1]
         combos.setdefault((size, partition_token(part)), part)
     for (size, _), part in combos.items():
         prefill_windows(

@@ -28,8 +28,8 @@ import numpy as np
 from repro.env.contexts import TaskFeatureModel
 from repro.env.geometry import CoverageSampler
 from repro.env.mbs import MBSFallback
-from repro.env.simulator import DEFAULT_WINDOW, SlotFeedback
-from repro.env.window import precompute_window
+from repro.env.simulator import DEFAULT_WINDOW, realize_feedback
+from repro.env.window import precompute_eligibility, precompute_window
 from repro.env.workload import SyntheticWorkload
 from repro.experiments.runner import default_truth, make_policy
 from repro.fleet.mobility import BorderMobility
@@ -107,11 +107,10 @@ class TileSim:
         self.workload.reset()
         self.policy.reset(self.network, cfg.horizon, rngs.policy(self.policy.name))
 
-        self._window = self._effective_window()
-        partition = getattr(self.policy, "context_partition", None)
-        if partition is not None and not getattr(partition, "windowable", False):
-            partition = None
-        self._win_partition = partition
+        eligible, self._win_partition = precompute_eligibility(self.workload, self.policy)
+        # The slot-streaming window, resolved like the batch simulator.
+        window = DEFAULT_WINDOW if cfg.window is None else int(cfg.window)
+        self._window = window if eligible else 0
         self._cells_fn = getattr(self.truth, "context_cells", None)
 
         self._latency = latency if latency is not None else LatencyRecorder()
@@ -126,14 +125,6 @@ class TileSim:
         self._viol_res = np.zeros(H)
         self._wds = np.zeros(H, dtype=np.int64)
         self._mbs_reward = np.zeros(H) if self.mbs is not None else None
-
-    def _effective_window(self) -> int:
-        """The slot-streaming window, resolved like the batch simulator."""
-        if not getattr(self.workload, "windowable", False):
-            return 0
-        if getattr(getattr(self.policy, "config", None), "engine", None) == "reference":
-            return 0
-        return DEFAULT_WINDOW if self.cfg.window is None else int(self.cfg.window)
 
     @property
     def t(self) -> int:
@@ -187,30 +178,14 @@ class TileSim:
         if self.cfg.validate_assignments:
             assignment.validate(slot, self.network.capacity)
 
-        if len(assignment) > 0:
-            pair_contexts = slot.tasks.contexts[assignment.task]
-            truth_cells = getattr(slot, "truth_cells", None)
-            if truth_cells is None:
-                u, v, q = self.truth.realize(
-                    t, pair_contexts, assignment.scn, self._realize_rng
-                )
-            else:
-                u, v, q = self.truth.realize(
-                    t,
-                    pair_contexts,
-                    assignment.scn,
-                    self._realize_rng,
-                    cells=truth_cells[assignment.task],
-                )
-            g = u * v / q
-        else:
-            u = v = q = g = np.empty(0)
-        feedback = SlotFeedback(assignment=assignment, u=u, v=v, q=q, g=g)
+        feedback = realize_feedback(
+            self.truth, t, slot, assignment, self._realize_rng
+        )[0]
 
         M = self._num_scns
         comp = feedback.per_scn_completed(M)
         cons = feedback.per_scn_consumption(M)
-        self._reward[t] = g.sum()
+        self._reward[t] = feedback.g.sum()
         self._assigned[t] = len(assignment)
         self._viol_qos[t] = np.maximum(self._alpha - comp, 0.0).sum()
         self._viol_res[t] = np.maximum(cons - self._beta, 0.0).sum()

@@ -1,12 +1,17 @@
 """The stateful online offloading session behind ``repro serve``.
 
-:class:`OnlineSession` is the per-slot form of
+:class:`OnlineSession` is the one-slot-at-a-time form of
 :meth:`repro.env.simulator.Simulation.run`: the same environment objects,
 the same frozen RNG streams (stream contract v2), and slot arithmetic
-mirrored operation for operation — so a session driven to slot T produces
-trajectories bit-identical to the batch simulator's per-slot path (gated by
-``tests/service/test_resume_equivalence.py``).  What it adds over the batch
-loop is *control*: each slot splits into
+mirrored operation for operation.  Each slot goes through the windowed slot
+kernel with a window of one (:mod:`repro.env.window`): synthetic slots are
+drawn by ``precompute_window(…, count=1)``, external slots are derived by
+``precompute_slots``, and LFSC scores them with the fused DepRound walk.
+Since windowed ≡ per-slot, a session driven to slot T produces trajectories
+bit-identical to the batch simulator's ``window=0`` run (gated by
+``tests/service/test_resume_equivalence.py`` and by the ``service_daemon``
+gate of ``perfbench/run.py``).  What it adds over the batch loop is
+*control*: each slot splits into
 
 - :meth:`decide` — generate (or accept) the slot's arrivals and answer the
   assignment query, and
@@ -41,6 +46,13 @@ from repro.env.simulator import (
     SimulationResult,
     SlotFeedback,
     SlotObservation,
+    expected_pair_stats,
+    realize_feedback,
+)
+from repro.env.window import (
+    precompute_eligibility,
+    precompute_slots,
+    precompute_window,
 )
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -299,9 +311,12 @@ class OnlineSession:
         self.channel_rng = self._rngs.env("channel")
         self.policy = make_session_policy(self.policy_name, config, self.truth)
         policy_rng = self._rngs.policy(self.policy.name)
-        self._has_pair_api = hasattr(
-            self.truth, "expected_compound_pairs"
-        ) and hasattr(self.truth, "means_pairs")
+        # Slots take the windowed kernel (W = 1) whenever the batch simulator
+        # would window this (workload, policy) pair.
+        self._precompute, self._partition = precompute_eligibility(
+            self.workload, self.policy
+        )
+        self._cells_fn = getattr(self.truth, "context_cells", None)
 
         self.workload.reset()
         if config.oracle_cache:
@@ -344,7 +359,9 @@ class OnlineSession:
         daemon from externally queued arrivals — is used verbatim and must
         carry the current slot index; external slots leave the workload
         stream untouched, so they are for live serving, not for replaying
-        the synthetic trajectory.
+        the synthetic trajectory.  Either way the slot reaches the policy
+        as a :class:`~repro.env.window.PrecomputedSlot` when the session is
+        eligible for precompute (see ``precompute_eligibility``).
         """
         if self._pending is not None:
             raise RuntimeError(
@@ -357,11 +374,21 @@ class OnlineSession:
             )
         with obs_runtime.span("service.decide"):
             if slot is None:
-                slot = self.workload.slot(self.t, self.workload_rng)
+                if self._precompute:
+                    slot = precompute_window(
+                        self.workload, self.t, 1, self.workload_rng,
+                        partition=self._partition, context_cells=self._cells_fn,
+                    ).slots[0]
+                else:
+                    slot = self.workload.slot(self.t, self.workload_rng)
             elif slot.t != self.t:
                 raise ValueError(
                     f"external slot carries t={slot.t}, session expects t={self.t}"
                 )
+            elif self._precompute:
+                slot = precompute_slots(
+                    [slot], partition=self._partition, context_cells=self._cells_fn
+                )[0]
             assignment = self.policy.select(slot)
             if self.validate_assignments:
                 assignment.validate(slot, self.network.capacity)
@@ -371,10 +398,12 @@ class OnlineSession:
     def feedback(self) -> SlotFeedback:
         """Realize slot ``t``'s bandit feedback, record it, let the policy learn.
 
-        Every operation mirrors :meth:`Simulation.run`'s per-slot branch —
-        same ufuncs, same operand values, same RNG consumption order — which
-        is what makes session trajectories (and checkpoints taken between
-        slots) bit-identical to the batch simulator's.
+        Every operation mirrors the slot body of :meth:`Simulation.run` —
+        same ufuncs, same operand values, same RNG consumption order; a
+        precomputed slot's truth cells feed ``realize`` and
+        ``slot_pair_stats`` exactly as in the windowed loop — which is what
+        makes session trajectories (and checkpoints taken between slots)
+        bit-identical to the batch simulator's, windowed or ``window=0``.
         """
         if self._pending is None:
             raise RuntimeError("feedback() called with no pending decision")
@@ -383,23 +412,13 @@ class OnlineSession:
         M = self.network.num_scns
         alpha, beta = self.network.alpha, self.network.beta
         with obs_runtime.span("service.feedback"):
-            if len(assignment) > 0:
-                pair_contexts = slot.tasks.contexts[assignment.task]
-                u, v, q = self.truth.realize(
-                    t, pair_contexts, assignment.scn, self.realize_rng
-                )
-                if self.channel is not None:
-                    v = v * self.channel.link_up(
-                        t, assignment.scn, assignment.task, self.channel_rng
-                    )
-                g = u * v / q
-            else:
-                u = v = q = g = np.empty(0)
-
-            feedback = SlotFeedback(assignment=assignment, u=u, v=v, q=q, g=g)
+            feedback, pair_contexts, pair_cells = realize_feedback(
+                self.truth, t, slot, assignment, self.realize_rng,
+                self.channel, self.channel_rng,
+            )
 
             s = self._series
-            s["reward"][t] = g.sum()
+            s["reward"][t] = feedback.g.sum()
             comp = feedback.per_scn_completed(M)
             cons = feedback.per_scn_consumption(M)
             s["completed"][t] = comp
@@ -410,21 +429,9 @@ class OnlineSession:
 
             if self.record_expected:
                 if len(assignment) > 0:
-                    if self._has_pair_api:
-                        exp_g = self.truth.expected_compound_pairs(
-                            t, pair_contexts, assignment.scn
-                        )
-                        _, p_v, mu_q = self.truth.means_pairs(
-                            t, pair_contexts, assignment.scn
-                        )
-                    else:
-                        rows = np.arange(len(assignment))
-                        exp_g = self.truth.expected_compound(t, pair_contexts)[
-                            assignment.scn, rows
-                        ]
-                        p_v_dense, mu_q_dense = self.truth.means(t, pair_contexts)[1:]
-                        p_v = p_v_dense[assignment.scn, rows]
-                        mu_q = mu_q_dense[assignment.scn, rows]
+                    exp_g, p_v, mu_q = expected_pair_stats(
+                        self.truth, t, pair_contexts, assignment.scn, pair_cells
+                    )
                     s["expected_reward"][t] = exp_g.sum()
                     exp_comp = np.bincount(assignment.scn, weights=p_v, minlength=M)
                     exp_cons = np.bincount(assignment.scn, weights=mu_q, minlength=M)

@@ -28,21 +28,33 @@ explicit opt-out documented in DESIGN.md, never used by default.
 When the private ``_highspy`` module is unavailable (foreign scipy build),
 ``HAVE_DIRECT_HIGHS`` is False and callers fall back to
 :func:`~repro.solvers.lp.solve_lp_relaxation` — same results, cold speed.
+The module (and with it ``scipy.optimize``) is imported on the first solve
+or the first read of ``HAVE_DIRECT_HIGHS``, not with the package.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from repro.solvers.lp import LPSolution, SlotProblem, max_achievable_qos
 
-try:  # pragma: no cover - exercised implicitly by every fast solve
-    from scipy.optimize._highspy import _core as _h
 
-    HAVE_DIRECT_HIGHS = True
-except Exception:  # pragma: no cover - foreign scipy builds
-    _h = None
-    HAVE_DIRECT_HIGHS = False
+@functools.cache
+def _highs_core():
+    """The vendored ``_highspy`` core module, or None when unavailable."""
+    try:  # pragma: no cover - exercised implicitly by every fast solve
+        from scipy.optimize._highspy import _core
+    except Exception:  # pragma: no cover - foreign scipy builds
+        return None
+    return _core
+
+
+def __getattr__(name: str):
+    if name == "HAVE_DIRECT_HIGHS":
+        return _highs_core() is not None
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "HAVE_DIRECT_HIGHS",
@@ -123,6 +135,7 @@ def _solve(model: SoftQosModel, cost: np.ndarray, qos_upper: np.ndarray | None):
     them (the pre-pass).  Returns ``(optimal, x, objective)`` with ``x``
     taken raw from the solver exactly as scipy does.
     """
+    _h = _highs_core()
     lp = _h.HighsLp()
     lp.num_col_ = model.num_cols
     lp.num_row_ = model.num_rows
@@ -186,7 +199,7 @@ def solve_soft_qos(
         )
         return empty, np.zeros(problem.num_scns)
 
-    if not HAVE_DIRECT_HIGHS:
+    if _highs_core() is None:
         if achievable is None:
             achievable = max_achievable_qos(problem)
         from repro.solvers.lp import solve_lp_relaxation

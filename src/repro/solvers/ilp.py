@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.solvers.lp import SlotProblem
 from repro.utils.validation import require
@@ -55,6 +54,9 @@ def _milp(
     E = problem.num_edges
     if E == 0:
         return ILPSolution(x=np.empty(0), objective=0.0, status="empty", feasible=True)
+    # scipy loads on the first solve, not with the package.
+    from scipy import optimize, sparse
+
     A_cap, A_uni, A_qos, A_res = problem.constraint_matrices()
 
     rows = [A_cap, A_uni, A_res]

@@ -27,12 +27,14 @@ has ≈2,000 edges and ≈1,100 rows, which HiGHS solves in milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.utils.validation import check_positive, require
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["SlotProblem", "LPSolution", "max_achievable_qos", "solve_lp_relaxation"]
 
@@ -87,6 +89,8 @@ class SlotProblem:
 
     def constraint_matrices(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix]:
         """Sparse rows for (1a), (1b), (1c as Σ v̄x), (1d) over edge variables."""
+        from scipy import sparse
+
         E = self.num_edges
         ones = np.ones(E)
         arange = np.arange(E)
@@ -121,8 +125,11 @@ def max_achievable_qos(problem: SlotProblem) -> np.ndarray:
     :mod:`repro.solvers.cache`); :func:`solve_lp_relaxation` accepts it back
     through ``achievable=`` to skip this pre-pass.
     """
+    # scipy loads on the first solve, not with the package.
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     A_cap, A_uni, _, A_res = problem.constraint_matrices()
-    E = problem.num_edges
     A_ub = sparse.vstack([A_cap, A_uni, A_res], format="csr")
     b_ub = np.concatenate(
         [
@@ -172,6 +179,9 @@ def solve_lp_relaxation(
             qos_levels=np.zeros(problem.num_scns),
             feasible=True,
         )
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     A_cap, A_uni, A_qos, A_res = problem.constraint_matrices()
 
     if qos_mode == "ignore":

@@ -11,7 +11,6 @@ weight matrix.  Suitable for small instances (the reduction is O((Mc)·n)).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.utils.validation import check_positive
 
@@ -34,6 +33,8 @@ def max_weight_b_matching(
         Parallel int arrays of the optimal pairs (only pairs with strictly
         positive weight are kept — adding a zero-weight edge never helps).
     """
+    from scipy.optimize import linear_sum_assignment
+
     check_positive("capacity", capacity)
     M = len(coverage)
     # Dense (M·c, n) weight matrix of replicated SCN slots; -inf means no edge.

@@ -45,9 +45,7 @@ the cross-replication window cache — both bit-identical, only faster.
 Every run-type subcommand shares one option group (declared once in
 :func:`_add_run_options`): ``--scale/--scenario/--horizon/--seed/--workers/--window/
 --engine/--transport/--trace/--trace-sample/--manifest-dir/--no-oracle-cache/
---cache-dir/--shared-window/--no-shared-window`` plus ``--plot/--save``.  The pre-unification spellings (``--trace-path``,
-``--sample-every``, ``--result-transport``) are kept as hidden aliases that
-print a deprecation note.
+--cache-dir/--shared-window/--no-shared-window`` plus ``--plot/--save``.
 """
 
 from __future__ import annotations
@@ -126,22 +124,6 @@ def _emit(out: FigureOutput, args: argparse.Namespace, cfg: ExperimentConfig | N
     if args.save and out.results is not None:
         npz, js = save_results(out.results, args.save, config=cfg)
         print(f"\nsaved raw series: {npz}, {js} (+ manifest)")
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Hidden alias for a renamed option: forwards to the new spelling."""
-
-    def __init__(self, option_strings, dest, new_option, **kwargs):
-        self.new_option = new_option
-        kwargs["help"] = argparse.SUPPRESS
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"note: {option_string} is deprecated, use {self.new_option}",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -238,25 +220,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="write DIR/manifest.json with the run's provenance "
         "(replicate defaults to results/)",
-    )
-    # Pre-unification spellings, kept as hidden aliases (deprecation note on
-    # use).  One declaration here keeps them consistent everywhere too.
-    parser.add_argument(
-        "--trace-path", dest="trace", action=_DeprecatedAlias, new_option="--trace"
-    )
-    parser.add_argument(
-        "--sample-every",
-        dest="trace_sample",
-        type=int,
-        action=_DeprecatedAlias,
-        new_option="--trace-sample",
-    )
-    parser.add_argument(
-        "--result-transport",
-        dest="transport",
-        choices=("auto", "shm", "pickle"),
-        action=_DeprecatedAlias,
-        new_option="--transport",
     )
 
 

@@ -14,6 +14,11 @@ Per slot t the loop is:
    QoS constraint (1c) and the resource constraint (1d);
 5. the policy receives the feedback and updates its internal state.
 
+:class:`SlotKernel` is that cycle, written once: :meth:`Simulation.run`,
+the online session (:mod:`repro.service.session`) and the fleet tile
+(:mod:`repro.fleet.tile`) are thin loops over its ``slot`` / ``decide`` /
+``feedback`` steps, and record through one :class:`SeriesRecorder`.
+
 The policies never see the ground truth; the Oracle baseline receives a
 :class:`GroundTruth` handle explicitly at construction, and the regret metric
 uses the expected-reward series recorded here.
@@ -29,7 +34,7 @@ import numpy as np
 from repro.env.channel import BlockageChannel
 from repro.env.network import NetworkConfig
 from repro.env.processes import GroundTruth
-from repro.env.window import precompute_eligibility, precompute_window
+from repro.env.window import precompute_eligibility, precompute_slots, precompute_window
 from repro.env.window_cache import cached_window, window_key_base
 from repro.env.workload import SlotWorkload, Workload
 from repro.obs import metrics as obs_metrics
@@ -45,7 +50,11 @@ __all__ = [
     "PolicyProtocol",
     "Simulation",
     "SimulationResult",
+    "SERIES",
+    "SeriesRecorder",
+    "SlotKernel",
     "DEFAULT_WINDOW",
+    "effective_window",
     "expected_pair_stats",
     "realize_feedback",
 ]
@@ -357,6 +366,305 @@ class SimulationResult:
         return out
 
 
+#: The per-slot series every run records, in checkpoint-payload order
+#: (``series.<name>``).
+SERIES = (
+    "reward",
+    "expected_reward",
+    "completed",
+    "consumption",
+    "accepted",
+    "violation_qos",
+    "violation_resource",
+    "violation_qos_realized",
+    "violation_resource_realized",
+)
+
+
+class SeriesRecorder:
+    """The :data:`SERIES` arrays of one run: allocated, written per slot, cut.
+
+    ``record_expected`` adds the paper's expected-basis V1/V2 (and the
+    expected reward); without it those arrays stay zero and the result's
+    violation series are the realized ones.
+    """
+
+    def __init__(self, network: NetworkConfig, horizon: int, record_expected: bool) -> None:
+        T, M = horizon, network.num_scns
+        self.num_scns = M
+        self.alpha, self.beta = network.alpha, network.beta
+        self.record_expected = record_expected
+        per_scn = {"completed": float, "consumption": float, "accepted": np.int64}
+        self.arrays: dict[str, np.ndarray] = {
+            name: np.zeros((T, M), dtype=per_scn[name]) if name in per_scn else np.zeros(T)
+            for name in SERIES
+        }
+
+    def record(
+        self,
+        truth: GroundTruth,
+        t: int,
+        feedback: SlotFeedback,
+        pair_contexts: np.ndarray | None,
+        pair_cells: np.ndarray | None,
+    ) -> None:
+        """Write slot ``t``'s row of every series."""
+        a = self.arrays
+        M, alpha, beta = self.num_scns, self.alpha, self.beta
+        scn = feedback.assignment.scn
+        a["reward"][t] = feedback.g.sum()
+        comp = feedback.per_scn_completed(M)
+        cons = feedback.per_scn_consumption(M)
+        a["completed"][t] = comp
+        a["consumption"][t] = cons
+        a["accepted"][t] = np.bincount(scn, minlength=M)
+        a["violation_qos_realized"][t] = np.maximum(alpha - comp, 0.0).sum()
+        a["violation_resource_realized"][t] = np.maximum(cons - beta, 0.0).sum()
+        if not self.record_expected:
+            return
+        # The paper's V1/V2 use the expected completed count Σ v̄ and
+        # expected consumption Σ q̄ of the selected set (§3.2).
+        if scn.size > 0:
+            exp_g, p_v, mu_q = expected_pair_stats(truth, t, pair_contexts, scn, pair_cells)
+            a["expected_reward"][t] = exp_g.sum()
+            exp_comp = np.bincount(scn, weights=p_v, minlength=M)
+            exp_cons = np.bincount(scn, weights=mu_q, minlength=M)
+        else:
+            exp_comp = np.zeros(M)
+            exp_cons = np.zeros(M)
+        a["violation_qos"][t] = np.maximum(alpha - exp_comp, 0.0).sum()
+        a["violation_resource"][t] = np.maximum(exp_cons - beta, 0.0).sum()
+
+    def result(self, policy: PolicyProtocol, t: int) -> SimulationResult:
+        """The first ``t`` slots as a :class:`SimulationResult` (copies)."""
+        a = {name: arr[:t].copy() for name, arr in self.arrays.items()}
+        extras_fn = getattr(policy, "result_extras", None)
+        extras = (
+            {k: np.asarray(v)[:t].copy() for k, v in extras_fn().items()}
+            if callable(extras_fn)
+            else {}
+        )
+        basis = "" if self.record_expected else "_realized"
+        return SimulationResult(
+            policy_name=policy.name,
+            horizon=t,
+            num_scns=self.num_scns,
+            reward=a["reward"],
+            expected_reward=a["expected_reward"],
+            completed=a["completed"],
+            consumption=a["consumption"],
+            accepted=a["accepted"],
+            violation_qos=a["violation_qos" + basis],
+            violation_resource=a["violation_resource" + basis],
+            violation_qos_realized=a["violation_qos_realized"],
+            violation_resource_realized=a["violation_resource_realized"],
+            has_expected=self.record_expected,
+            extras=extras,
+        )
+
+
+def effective_window(
+    workload: Workload, policy: PolicyProtocol, window: int | None
+) -> tuple[int, object | None]:
+    """The slot-streaming window size W for (workload, policy), and its partition.
+
+    ``None`` → :data:`DEFAULT_WINDOW` when eligible, else 0 (per-slot);
+    eligibility and the partition come from
+    :func:`~repro.env.window.precompute_eligibility`.
+    """
+    if window is not None and window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    eligible, partition = precompute_eligibility(workload, policy)
+    if not eligible:
+        return 0, None
+    return (DEFAULT_WINDOW if window is None else int(window)), partition
+
+
+class SlotKernel:
+    """One slot of Alg. 1 — observe, select, feedback, update — for every driver.
+
+    :meth:`Simulation.run`, the online session and the fleet tile are thin
+    loops over these three steps, so they share one slot body and one
+    :class:`SeriesRecorder`:
+
+    - :meth:`slot` draws slot ``t``: from the current window, refilling one
+      of ``min(W, end - t)`` slots when it runs out, or per slot when
+      W = 0; an external slot is derived through ``precompute_slots``;
+    - :meth:`decide` selects (timed into ``latency`` when given) and
+      validates;
+    - :meth:`feedback` realizes the bandit feedback, records the slot, lets
+      the policy learn, and advances the truth and the channel.
+
+    The environment streams are the ``workload``, ``realizations`` and
+    ``channel`` streams of ``rngs`` (stream contract v2).  The window cache
+    is consulted only when the run has a cache key (see
+    :func:`~repro.env.window_cache.window_key_base`).  With an obs context
+    installed every slot gets the ``sim.*`` spans and one trace record;
+    spans never touch an RNG, so trajectories are bit-identical with or
+    without one.
+    """
+
+    def __init__(
+        self,
+        network: NetworkConfig,
+        workload: Workload,
+        truth: GroundTruth,
+        channel: BlockageChannel | None,
+        policy: PolicyProtocol,
+        rngs: RngFactory,
+        *,
+        horizon: int,
+        window: int | None,
+        window_cache: object | None = None,
+        validate: bool = True,
+        record_expected: bool = True,
+        latency: object | None = None,
+    ) -> None:
+        self.network = network
+        self.workload = workload
+        self.truth = truth
+        self.channel = channel
+        self.policy = policy
+        self.workload_rng = rngs.env("workload")
+        self.realize_rng = rngs.env("realizations")
+        self.channel_rng = rngs.env("channel")
+        self.validate = validate
+        self.latency = latency
+        self.series = SeriesRecorder(network, horizon, record_expected)
+        self.window, self._partition = effective_window(workload, policy, window)
+        self._cells_fn = getattr(truth, "context_cells", None)
+        self._cache = self._key_base = None
+        if window_cache is not None and self.window > 0:
+            self._key_base = window_key_base(rngs, workload, truth, self._partition)
+            if self._key_base is not None:
+                self._cache = window_cache
+        self._win_slots: tuple = ()
+        self._win_start = self._win_end = 0
+        self._ctx = None
+        self._began = -1
+        self._step_start = 0.0
+
+    def _draw_window(self, t: int, count: int):
+        if self._cache is not None:
+            return cached_window(
+                self._cache, self.workload, t, count, self.workload_rng,
+                partition=self._partition, context_cells=self._cells_fn,
+                key_base=self._key_base,
+            )
+        return precompute_window(
+            self.workload, t, count, self.workload_rng,
+            partition=self._partition, context_cells=self._cells_fn,
+        )
+
+    def slot(self, t: int, end: int, external: SlotWorkload | None = None) -> SlotWorkload:
+        """Slot ``t``'s workload; a refilled window never reaches past ``end``.
+
+        ``external`` (a slot built from outside arrivals) is used instead of
+        a draw and leaves the workload stream untouched.
+        """
+        # One lookup per slot: with no context installed every step takes
+        # the branch-free fast path.
+        self._ctx = ctx = obs_runtime.active()
+        if external is not None:
+            if self.window == 0:
+                return external
+            return precompute_slots(
+                [external], partition=self._partition, context_cells=self._cells_fn
+            )[0]
+        if self.window == 0:
+            return self.workload.slot(t, self.workload_rng)
+        if t >= self._win_end:
+            count = min(self.window, end - t)
+            if ctx is None:
+                win = self._draw_window(t, count)
+            else:
+                ctx.begin_slot(t)
+                self._began = t
+                with ctx.span("sim.window.precompute"):
+                    win = self._draw_window(t, count)
+            self._win_slots = win.slots
+            self._win_start, self._win_end = t, t + count
+        slot = self._win_slots[t - self._win_start]
+        if t + 1 == self._win_end:
+            # Spent: a driver that pauses between calls (the fleet tile at
+            # an exchange) must not keep the window alive.
+            self._win_slots = ()
+        return slot
+
+    def _select(self, slot: SlotWorkload) -> Assignment:
+        if self.latency is None:
+            return self.policy.select(slot)
+        start = monotonic()
+        assignment = self.policy.select(slot)
+        self.latency.record(monotonic() - start)
+        return assignment
+
+    def decide(self, t: int, slot: SlotWorkload) -> Assignment:
+        """The policy's assignment for slot ``t``, validated when enabled."""
+        ctx = self._ctx
+        if ctx is None:
+            assignment = self._select(slot)
+        else:
+            if self._began != t:
+                ctx.begin_slot(t)
+            self._step_start = monotonic()
+            with ctx.span("sim.select"):
+                assignment = self._select(slot)
+        if self.validate:
+            assignment.validate(slot, self.network.capacity)
+        return assignment
+
+    def feedback(self, t: int, slot: SlotWorkload, assignment: Assignment) -> SlotFeedback:
+        """Realize, record, update, advance: the rest of slot ``t``."""
+        feedback, pair_contexts, pair_cells = realize_feedback(
+            self.truth, t, slot, assignment, self.realize_rng, self.channel, self.channel_rng
+        )
+        self.series.record(self.truth, t, feedback, pair_contexts, pair_cells)
+        ctx = self._ctx
+        if ctx is None:
+            self.policy.update(slot, feedback)
+        else:
+            with ctx.span("sim.update"):
+                self.policy.update(slot, feedback)
+            if self.window > 0:
+                ctx.add_span("sim.window.step", monotonic() - self._step_start)
+            self._record_slot(ctx, t, len(assignment))
+        self.truth.advance(t, self.realize_rng)
+        if self.channel is not None:
+            self.channel.advance(t, self.channel_rng)
+        return feedback
+
+    def _record_slot(self, ctx, t: int, assigned: int) -> None:
+        """Assemble slot ``t``'s trace record (see ``repro.obs.trace.TRACE_SCHEMA``).
+
+        Duals are read through a duck-typed ``policy.multipliers``
+        attribute, so LFSC-family policies report them and multiplier-free
+        baselines record null.
+        """
+        a = self.series.arrays
+        expected = self.series.record_expected
+        basis = "" if expected else "_realized"
+        multipliers = getattr(self.policy, "multipliers", None)
+        mult_qos = mult_res = None
+        if multipliers is not None:
+            mult_qos = np.asarray(multipliers.qos, dtype=float).tolist()
+            mult_res = np.asarray(multipliers.resource, dtype=float).tolist()
+        ctx.end_slot(
+            {
+                "t": t,
+                "policy": self.policy.name,
+                "assigned": assigned,
+                "per_scn_assigned": a["accepted"][t].tolist(),
+                "reward": float(a["reward"][t]),
+                "expected_reward": float(a["expected_reward"][t]) if expected else None,
+                "violation_qos": float(a["violation_qos" + basis][t]),
+                "violation_resource": float(a["violation_resource" + basis][t]),
+                "multipliers_qos": mult_qos,
+                "multipliers_resource": mult_res,
+            }
+        )
+
+
 @dataclass
 class Simulation:
     """Binds a network, a workload, the hidden truth, and an optional channel.
@@ -420,55 +728,6 @@ class Simulation:
                 f"truth has {self.truth.num_scns} SCNs, network expects {self.network.num_scns}"
             )
 
-    @staticmethod
-    def _record_slot(
-        ctx,
-        policy: PolicyProtocol,
-        t: int,
-        assignment: Assignment,
-        per_scn_assigned: np.ndarray,
-        reward: float,
-        expected_reward: float | None,
-        violation_qos: float,
-        violation_resource: float,
-    ) -> None:
-        """Assemble one slot's trace record (see ``repro.obs.trace.TRACE_SCHEMA``).
-
-        Runs only when an obs context is installed; duals are read through a
-        duck-typed ``policy.multipliers`` attribute so LFSC-family policies
-        report them and multiplier-free baselines record null.
-        """
-        multipliers = getattr(policy, "multipliers", None)
-        mult_qos = mult_res = None
-        if multipliers is not None:
-            mult_qos = np.asarray(multipliers.qos, dtype=float).tolist()
-            mult_res = np.asarray(multipliers.resource, dtype=float).tolist()
-        ctx.end_slot(
-            {
-                "t": t,
-                "policy": policy.name,
-                "assigned": len(assignment),
-                "per_scn_assigned": per_scn_assigned.tolist(),
-                "reward": reward,
-                "expected_reward": expected_reward,
-                "violation_qos": violation_qos,
-                "violation_resource": violation_resource,
-                "multipliers_qos": mult_qos,
-                "multipliers_resource": mult_res,
-            }
-        )
-
-    def _effective_window(self, policy: PolicyProtocol, window: int | None) -> int:
-        """Resolve the slot-streaming window size for this (policy, workload).
-
-        ``None`` → :data:`DEFAULT_WINDOW` when eligible, else 0 (per-slot);
-        eligibility is :func:`~repro.env.window.precompute_eligibility`.
-        """
-        if window is not None and window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
-        if not precompute_eligibility(self.workload, policy)[0]:
-            return 0
-        return DEFAULT_WINDOW if window is None else int(window)
 
     def run(
         self,
@@ -498,23 +757,7 @@ class Simulation:
             the RNG streams in exactly the per-slot order.
         """
         check_positive("horizon", horizon)
-        # One lookup per run: when no observability context is installed the
-        # loop below takes the branch-free fast path (obs adds nothing but
-        # a handful of end-of-run counter bumps).  Tracing and spans are
-        # purely observational — they never touch an RNG — so trajectories
-        # are bit-identical whether ``ctx`` is live or None.
-        ctx = obs_runtime.active()
-        # Stream contract v2: environment streams derive in a spawn-key
-        # namespace disjoint from the policy namespace, so the environment's
-        # randomness is independent of which policy runs (or what it is
-        # called) — the invariant the window cache and the cross-policy
-        # sharing of precomputed artifacts rest on.
         rngs = RngFactory(self.seed)
-        workload_rng = rngs.env("workload")
-        realize_rng = rngs.env("realizations")
-        channel_rng = rngs.env("channel")
-        policy_rng = rngs.policy(policy.name)
-
         reset = getattr(self.workload, "reset", None)
         if callable(reset):
             reset()
@@ -522,152 +765,25 @@ class Simulation:
             attach = getattr(policy, "attach_solver_cache", None)
             if callable(attach):
                 attach(self.solver_cache)
-        policy.reset(self.network, horizon, policy_rng)
-
-        M = self.network.num_scns
-        alpha, beta = self.network.alpha, self.network.beta
-        window_size = self._effective_window(policy, window)
-        use_window = window_size > 0
-        if use_window:
-            win_partition = precompute_eligibility(self.workload, policy)[1]
-            win_cells_fn = getattr(self.truth, "context_cells", None)
-            win_slots: tuple = ()
-            win_start = win_end = 0
-            wcache = self.window_cache
-            wkey_base = None
-            if wcache is not None:
-                wkey_base = window_key_base(rngs, self.workload, self.truth, win_partition)
-                if wkey_base is None:
-                    wcache = None
-        reward = np.zeros(horizon)
-        expected_reward = np.zeros(horizon)
-        completed = np.zeros((horizon, M))
-        consumption = np.zeros((horizon, M))
-        accepted = np.zeros((horizon, M), dtype=np.int64)
-        viol_qos_real = np.zeros(horizon)
-        viol_res_real = np.zeros(horizon)
-        viol_qos_exp = np.zeros(horizon)
-        viol_res_exp = np.zeros(horizon)
-
+        policy.reset(self.network, horizon, rngs.policy(policy.name))
+        kernel = SlotKernel(
+            self.network, self.workload, self.truth, self.channel, policy, rngs,
+            horizon=horizon, window=window, window_cache=self.window_cache,
+            validate=self.validate_assignments, record_expected=record_expected,
+        )
         for t in range(horizon):
-            if use_window:
-                if t >= win_end:
-                    count = min(window_size, horizon - t)
-                    if ctx is None:
-                        if wcache is not None:
-                            win = cached_window(
-                                wcache, self.workload, t, count, workload_rng,
-                                partition=win_partition, context_cells=win_cells_fn,
-                                key_base=wkey_base,
-                            )
-                        else:
-                            win = precompute_window(
-                                self.workload, t, count, workload_rng,
-                                partition=win_partition, context_cells=win_cells_fn,
-                            )
-                    else:
-                        ctx.begin_slot(t)
-                        with ctx.span("sim.window.precompute"):
-                            if wcache is not None:
-                                win = cached_window(
-                                    wcache, self.workload, t, count, workload_rng,
-                                    partition=win_partition, context_cells=win_cells_fn,
-                                    key_base=wkey_base,
-                                )
-                            else:
-                                win = precompute_window(
-                                    self.workload, t, count, workload_rng,
-                                    partition=win_partition, context_cells=win_cells_fn,
-                                )
-                    win_slots = win.slots
-                    win_start, win_end = t, t + count
-                slot = win_slots[t - win_start]
-            else:
-                slot = self.workload.slot(t, workload_rng)
-            if ctx is None:
-                assignment = policy.select(slot)
-            else:
-                if not (use_window and t == win_start):
-                    ctx.begin_slot(t)
-                step_start = monotonic()
-                with ctx.span("sim.select"):
-                    assignment = policy.select(slot)
-            if self.validate_assignments:
-                assignment.validate(slot, self.network.capacity)
+            slot = kernel.slot(t, horizon)
+            kernel.feedback(t, slot, kernel.decide(t, slot))
 
-            feedback, pair_contexts, pair_cells = realize_feedback(
-                self.truth, t, slot, assignment, realize_rng, self.channel, channel_rng
-            )
-
-            reward[t] = feedback.g.sum()
-            comp = feedback.per_scn_completed(M)
-            cons = feedback.per_scn_consumption(M)
-            completed[t] = comp
-            consumption[t] = cons
-            accepted[t] = np.bincount(assignment.scn, minlength=M)
-            viol_qos_real[t] = np.maximum(alpha - comp, 0.0).sum()
-            viol_res_real[t] = np.maximum(cons - beta, 0.0).sum()
-
-            if record_expected:
-                # The paper's V1/V2 use the expected completed count Σ v̄
-                # and expected consumption Σ q̄ of the selected set (§3.2).
-                if len(assignment) > 0:
-                    exp_g, p_v, mu_q = expected_pair_stats(
-                        self.truth, t, pair_contexts, assignment.scn, pair_cells
-                    )
-                    expected_reward[t] = exp_g.sum()
-                    exp_comp = np.bincount(assignment.scn, weights=p_v, minlength=M)
-                    exp_cons = np.bincount(assignment.scn, weights=mu_q, minlength=M)
-                else:
-                    exp_comp = np.zeros(M)
-                    exp_cons = np.zeros(M)
-                viol_qos_exp[t] = np.maximum(alpha - exp_comp, 0.0).sum()
-                viol_res_exp[t] = np.maximum(exp_cons - beta, 0.0).sum()
-
-            if ctx is None:
-                policy.update(slot, feedback)
-            else:
-                with ctx.span("sim.update"):
-                    policy.update(slot, feedback)
-                if use_window:
-                    ctx.add_span("sim.window.step", monotonic() - step_start)
-                self._record_slot(
-                    ctx, policy, t, assignment, accepted[t],
-                    float(reward[t]),
-                    float(expected_reward[t]) if record_expected else None,
-                    float(viol_qos_exp[t] if record_expected else viol_qos_real[t]),
-                    float(viol_res_exp[t] if record_expected else viol_res_real[t]),
-                )
-            self.truth.advance(t, realize_rng)
-            if self.channel is not None:
-                self.channel.advance(t, channel_rng)
-
+        ctx = obs_runtime.active()
         if ctx is not None and ctx.tracer is not None:
             # Keep worker-process traces durable even when the process never
             # uninstalls its (env-var-installed) context.
             ctx.tracer.flush()
+        series = kernel.series.arrays
         reg = obs_metrics.global_registry()
         reg.counter("sim.runs").inc()
         reg.counter("sim.slots").inc(horizon)
-        reg.counter("sim.assigned_pairs").inc(float(accepted.sum()))
-        reg.gauge("sim.last_total_reward").set(float(reward.sum()))
-
-        extras_fn = getattr(policy, "result_extras", None)
-        extras = dict(extras_fn()) if callable(extras_fn) else {}
-
-        return SimulationResult(
-            policy_name=policy.name,
-            horizon=horizon,
-            num_scns=M,
-            reward=reward,
-            expected_reward=expected_reward,
-            completed=completed,
-            consumption=consumption,
-            accepted=accepted,
-            violation_qos=viol_qos_exp if record_expected else viol_qos_real,
-            violation_resource=viol_res_exp if record_expected else viol_res_real,
-            violation_qos_realized=viol_qos_real,
-            violation_resource_realized=viol_res_real,
-            has_expected=record_expected,
-            extras=extras,
-        )
+        reg.counter("sim.assigned_pairs").inc(float(series["accepted"].sum()))
+        reg.gauge("sim.last_total_reward").set(float(series["reward"].sum()))
+        return kernel.series.result(policy, horizon)

@@ -26,8 +26,7 @@ from repro.env.contexts import TaskFeatureModel
 from repro.env.geometry import CoverageSampler
 from repro.env.network import NetworkConfig
 from repro.env.processes import GroundTruth, PiecewiseConstantTruth
-from repro.env.simulator import PolicyProtocol, Simulation, SimulationResult
-from repro.env.window import precompute_eligibility
+from repro.env.simulator import PolicyProtocol, Simulation, SimulationResult, effective_window
 from repro.env.window_cache import (
     export_window_state,
     import_window_state,
@@ -346,10 +345,9 @@ def _prefill_window_state(cfg: ExperimentConfig, policies: Sequence[str]) -> tup
     combos: dict[tuple, object] = {}
     for name in policies:
         policy = make_policy(name, cfg, sim.truth)
-        size = sim._effective_window(policy, cfg.window)
+        size, part = effective_window(sim.workload, policy, cfg.window)
         if size <= 0:
             continue
-        part = precompute_eligibility(sim.workload, policy)[1]
         combos.setdefault((size, partition_token(part)), part)
     for (size, _), part in combos.items():
         prefill_windows(

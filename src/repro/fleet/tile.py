@@ -1,22 +1,22 @@
 """One fleet tile's simulation: a resumable, stepwise slot loop.
 
-:class:`TileSim` mirrors :meth:`repro.env.simulator.Simulation.run`'s slot
-body — windowed precompute, select, validate, pair-wise realize, update,
-advance — but exposes it as :meth:`run_slots`, so the sharded driver can
-interleave simulation rounds with border exchanges while policy and truth
-state persist across calls.  Differences from the batch simulator, all
+:class:`TileSim` drives the shared slot kernel
+(:class:`repro.env.simulator.SlotKernel`) in rounds: :meth:`run_slots`
+advances the tile to the next border exchange, while policy and truth state
+persist across calls.  Differences from the batch simulator, all
 deliberate:
 
 - every component (network, workload, truth, policy, streams) derives from
   ``(fleet config, tile index)`` alone — tile streams root at
   :func:`repro.utils.rng.fleet_seed_sequence`, so trajectories are
   independent of the shard count and worker topology;
+- windows end at the round end: migrants change the coverage model at an
+  exchange, so no window may be drawn across one;
 - each ``select`` is timed into a :class:`repro.metrics.latency.LatencyRecorder`
   (the fleet's per-shard decision-latency percentiles);
 - the recorded series are the realized per-slot scalars (reward, assigned
   pairs, realized V1/V2, population) — fleet runs skip the expected-basis
-  bookkeeping, which needs dense truth tables per tile and exists for
-  regret plots, not throughput scaling;
+  bookkeeping, which exists for regret plots, not throughput scaling;
 - an optional per-tile MBS fallback tier (paper §3.3) serves the
   covered-but-unselected leftovers from its own environment stream.
 """
@@ -28,15 +28,15 @@ import numpy as np
 from repro.env.contexts import TaskFeatureModel
 from repro.env.geometry import CoverageSampler
 from repro.env.mbs import MBSFallback
-from repro.env.simulator import DEFAULT_WINDOW, realize_feedback
-from repro.env.window import precompute_eligibility, precompute_window
+from repro.env.simulator import SlotKernel
+# Kept importable for the benchmark's hook table (perfbench/hooks.py: BOUNDARIES).
+from repro.env.window import precompute_window  # noqa: F401
 from repro.env.workload import SyntheticWorkload
 from repro.experiments.runner import default_truth, make_policy
 from repro.fleet.mobility import BorderMobility
 from repro.fleet.topology import FleetConfig
 from repro.metrics.latency import LatencyRecorder
 from repro.utils.rng import RngFactory, fleet_seed_sequence
-from repro.utils.timing import monotonic
 
 __all__ = ["TileSim"]
 
@@ -92,8 +92,6 @@ class TileSim:
         # Stream contract v2 extension: the tile root depends only on
         # (seed, tile); env/policy streams nest under it.
         rngs = RngFactory(fleet_seed_sequence(cfg.seed, tile))
-        self._workload_rng = rngs.env("workload")
-        self._realize_rng = rngs.env("realizations")
         self.mbs: MBSFallback | None = None
         self._mbs_rng = None
         if cfg.mbs_capacity > 0:
@@ -107,24 +105,16 @@ class TileSim:
         self.workload.reset()
         self.policy.reset(self.network, cfg.horizon, rngs.policy(self.policy.name))
 
-        eligible, self._win_partition = precompute_eligibility(self.workload, self.policy)
-        # The slot-streaming window, resolved like the batch simulator.
-        window = DEFAULT_WINDOW if cfg.window is None else int(cfg.window)
-        self._window = window if eligible else 0
-        self._cells_fn = getattr(self.truth, "context_cells", None)
-
         self._latency = latency if latency is not None else LatencyRecorder()
+        self._kernel = SlotKernel(
+            self.network, self.workload, self.truth, None, self.policy, rngs,
+            horizon=cfg.horizon, window=cfg.window,
+            validate=cfg.validate_assignments, record_expected=False,
+            latency=self._latency,
+        )
         self._t = 0
-        self._decisions = 0
-        H, M = cfg.horizon, self.network.num_scns
-        self._alpha, self._beta = self.network.alpha, self.network.beta
-        self._num_scns = M
-        self._reward = np.zeros(H)
-        self._assigned = np.zeros(H, dtype=np.int64)
-        self._viol_qos = np.zeros(H)
-        self._viol_res = np.zeros(H)
-        self._wds = np.zeros(H, dtype=np.int64)
-        self._mbs_reward = np.zeros(H) if self.mbs is not None else None
+        self._wds = np.zeros(cfg.horizon, dtype=np.int64)
+        self._mbs_reward = np.zeros(cfg.horizon) if self.mbs is not None else None
 
     @property
     def t(self) -> int:
@@ -134,7 +124,7 @@ class TileSim:
     @property
     def decisions(self) -> int:
         """Total SCN-assigned task decisions so far."""
-        return self._decisions
+        return int(self._kernel.series.arrays["accepted"][: self._t].sum())
 
     @property
     def latency(self) -> LatencyRecorder:
@@ -151,52 +141,16 @@ class TileSim:
             raise ValueError(
                 f"run_slots past the horizon: {end} > {self.cfg.horizon}"
             )
-        t = self._t
-        while t < end:
-            if self._window > 0:
-                w = min(self._window, end - t)
-                win = precompute_window(
-                    self.workload,
-                    t,
-                    w,
-                    self._workload_rng,
-                    partition=self._win_partition,
-                    context_cells=self._cells_fn,
-                )
-                for slot in win.slots:
-                    self._step(t, slot)
-                    t += 1
-            else:
-                self._step(t, self.workload.slot(t, self._workload_rng))
-                t += 1
+        kernel = self._kernel
+        for t in range(self._t, end):
+            slot = kernel.slot(t, end)
+            assignment = kernel.decide(t, slot)
+            if self.mbs is not None:
+                served = self.mbs.serve(slot, assignment, self.truth, self._mbs_rng)
+                self._mbs_reward[t] = served.reward
+            kernel.feedback(t, slot, assignment)
+            self._wds[t] = len(slot.tasks)
         self._t = end
-
-    def _step(self, t: int, slot) -> None:
-        start = monotonic()
-        assignment = self.policy.select(slot)
-        self._latency.record(monotonic() - start)
-        if self.cfg.validate_assignments:
-            assignment.validate(slot, self.network.capacity)
-
-        feedback = realize_feedback(
-            self.truth, t, slot, assignment, self._realize_rng
-        )[0]
-
-        M = self._num_scns
-        comp = feedback.per_scn_completed(M)
-        cons = feedback.per_scn_consumption(M)
-        self._reward[t] = feedback.g.sum()
-        self._assigned[t] = len(assignment)
-        self._viol_qos[t] = np.maximum(self._alpha - comp, 0.0).sum()
-        self._viol_res[t] = np.maximum(cons - self._beta, 0.0).sum()
-        self._wds[t] = len(slot.tasks)
-        self._decisions += len(assignment)
-
-        self.policy.update(slot, feedback)
-        if self.mbs is not None:
-            served = self.mbs.serve(slot, assignment, self.truth, self._mbs_rng)
-            self._mbs_reward[t] = served.reward
-        self.truth.advance(t, self._realize_rng)
 
     # -- border exchange ------------------------------------------------------
 
@@ -224,13 +178,15 @@ class TileSim:
 
     def series(self) -> dict[str, np.ndarray]:
         """The tile's recorded per-slot series (copies, truncated to ``t``)."""
+        t = self._t
+        a = self._kernel.series.arrays
         out = {
-            "reward": self._reward[: self._t].copy(),
-            "assigned": self._assigned[: self._t].copy(),
-            "violation_qos": self._viol_qos[: self._t].copy(),
-            "violation_resource": self._viol_res[: self._t].copy(),
-            "wds": self._wds[: self._t].copy(),
+            "reward": a["reward"][:t].copy(),
+            "assigned": a["accepted"][:t].sum(axis=1),
+            "violation_qos": a["violation_qos_realized"][:t].copy(),
+            "violation_resource": a["violation_resource_realized"][:t].copy(),
+            "wds": self._wds[:t].copy(),
         }
         if self._mbs_reward is not None:
-            out["mbs_reward"] = self._mbs_reward[: self._t].copy()
+            out["mbs_reward"] = self._mbs_reward[:t].copy()
         return out

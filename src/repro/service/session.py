@@ -1,17 +1,15 @@
 """The stateful online offloading session behind ``repro serve``.
 
-:class:`OnlineSession` is the one-slot-at-a-time form of
-:meth:`repro.env.simulator.Simulation.run`: the same environment objects,
-the same frozen RNG streams (stream contract v2), and slot arithmetic
-mirrored operation for operation.  Each slot goes through the windowed slot
-kernel with a window of one (:mod:`repro.env.window`): synthetic slots are
-drawn by ``precompute_window(…, count=1)``, external slots are derived by
-``precompute_slots``, and LFSC scores them with the fused DepRound walk.
-Since windowed ≡ per-slot, a session driven to slot T produces trajectories
-bit-identical to the batch simulator's ``window=0`` run (gated by
-``tests/service/test_resume_equivalence.py`` and by the ``service_daemon``
-gate of ``perfbench/run.py``).  What it adds over the batch loop is
-*control*: each slot splits into
+:class:`OnlineSession` is the one-slot-at-a-time driver of the shared slot
+kernel (:class:`repro.env.simulator.SlotKernel`): the same environment
+objects, the same frozen RNG streams (stream contract v2) and the same slot
+body as :meth:`repro.env.simulator.Simulation.run`, at a window of one.
+Synthetic slots are drawn by ``precompute_window(…, count=1)``, external
+slots are derived by ``precompute_slots``.  A session driven to slot T
+produces trajectories bit-identical to the batch simulator's ``window=0``
+run (gated by ``tests/service/test_resume_equivalence.py`` and by the
+``service_daemon`` gate of ``perfbench/run.py``).  What it adds over the
+batch loop is *control*: each slot splits into
 
 - :meth:`decide` — generate (or accept) the slot's arrivals and answer the
   assignment query, and
@@ -41,18 +39,13 @@ from repro.core.adaptive import AdaptivePartition
 from repro.core.config import LFSCConfig
 from repro.core.hypercube import ContextPartition
 from repro.env.simulator import (
+    SERIES,
     Assignment,
     PolicyProtocol,
     SimulationResult,
     SlotFeedback,
+    SlotKernel,
     SlotObservation,
-    expected_pair_stats,
-    realize_feedback,
-)
-from repro.env.window import (
-    precompute_eligibility,
-    precompute_slots,
-    precompute_window,
 )
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -81,19 +74,6 @@ __all__ = [
 
 #: Config fields whose values are tuples (JSON stores them as lists).
 _TUPLE_FIELDS = ("u_range", "v_range", "q_range")
-
-#: Series recorded per slot, in the array-payload naming used by snapshots.
-_SERIES = (
-    "reward",
-    "expected_reward",
-    "completed",
-    "consumption",
-    "accepted",
-    "violation_qos",
-    "violation_resource",
-    "violation_qos_realized",
-    "violation_resource_realized",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +283,8 @@ class OnlineSession:
         self.workload = build_workload(config)
         self.truth = build_truth(config)
         self.channel = build_channel(config)
-        # Stream contract v2 — the exact derivations Simulation.run makes,
-        # in the same order, so a session and a batch run share randomness.
-        self._rngs = RngFactory(config.seed)
-        self.workload_rng = self._rngs.env("workload")
-        self.realize_rng = self._rngs.env("realizations")
-        self.channel_rng = self._rngs.env("channel")
+        rngs = RngFactory(config.seed)
         self.policy = make_session_policy(self.policy_name, config, self.truth)
-        policy_rng = self._rngs.policy(self.policy.name)
-        # Slots take the windowed kernel (W = 1) whenever the batch simulator
-        # would window this (workload, policy) pair.
-        self._precompute, self._partition = precompute_eligibility(
-            self.workload, self.policy
-        )
-        self._cells_fn = getattr(self.truth, "context_cells", None)
 
         self.workload.reset()
         if config.oracle_cache:
@@ -325,23 +293,17 @@ class OnlineSession:
                 from repro.solvers.cache import shared_cache
 
                 attach(shared_cache(config.cache_dir))
-        self.policy.reset(self.network, self.horizon, policy_rng)
-
-        M = self.network.num_scns
-        T = self.horizon
+        self.policy.reset(self.network, self.horizon, rngs.policy(self.policy.name))
+        # W = 1 with no prefetch: every slot takes the windowed kernel when
+        # the batch simulator would window this (workload, policy) pair, and
+        # a checkpoint between slots carries no window state.
+        self._kernel = SlotKernel(
+            self.network, self.workload, self.truth, self.channel, self.policy, rngs,
+            horizon=self.horizon, window=1,
+            validate=self.validate_assignments, record_expected=self.record_expected,
+        )
         self.t = 0
         self._pending: tuple[SlotObservation, Assignment] | None = None
-        self._series: dict[str, np.ndarray] = {
-            "reward": np.zeros(T),
-            "expected_reward": np.zeros(T),
-            "completed": np.zeros((T, M)),
-            "consumption": np.zeros((T, M)),
-            "accepted": np.zeros((T, M), dtype=np.int64),
-            "violation_qos": np.zeros(T),
-            "violation_resource": np.zeros(T),
-            "violation_qos_realized": np.zeros(T),
-            "violation_resource_realized": np.zeros(T),
-        }
 
     # -- the decide/feedback slot cycle --------------------------------------
 
@@ -373,78 +335,22 @@ class OnlineSession:
                 "start a new session with a longer config.horizon"
             )
         with obs_runtime.span("service.decide"):
-            if slot is None:
-                if self._precompute:
-                    slot = precompute_window(
-                        self.workload, self.t, 1, self.workload_rng,
-                        partition=self._partition, context_cells=self._cells_fn,
-                    ).slots[0]
-                else:
-                    slot = self.workload.slot(self.t, self.workload_rng)
-            elif slot.t != self.t:
+            if slot is not None and slot.t != self.t:
                 raise ValueError(
                     f"external slot carries t={slot.t}, session expects t={self.t}"
                 )
-            elif self._precompute:
-                slot = precompute_slots(
-                    [slot], partition=self._partition, context_cells=self._cells_fn
-                )[0]
-            assignment = self.policy.select(slot)
-            if self.validate_assignments:
-                assignment.validate(slot, self.network.capacity)
+            slot = self._kernel.slot(self.t, self.t + 1, external=slot)
+            assignment = self._kernel.decide(self.t, slot)
         self._pending = (slot, assignment)
         return assignment
 
     def feedback(self) -> SlotFeedback:
-        """Realize slot ``t``'s bandit feedback, record it, let the policy learn.
-
-        Every operation mirrors the slot body of :meth:`Simulation.run` —
-        same ufuncs, same operand values, same RNG consumption order; a
-        precomputed slot's truth cells feed ``realize`` and
-        ``slot_pair_stats`` exactly as in the windowed loop — which is what
-        makes session trajectories (and checkpoints taken between slots)
-        bit-identical to the batch simulator's, windowed or ``window=0``.
-        """
+        """Realize slot ``t``'s bandit feedback, record it, let the policy learn."""
         if self._pending is None:
             raise RuntimeError("feedback() called with no pending decision")
         slot, assignment = self._pending
-        t = self.t
-        M = self.network.num_scns
-        alpha, beta = self.network.alpha, self.network.beta
         with obs_runtime.span("service.feedback"):
-            feedback, pair_contexts, pair_cells = realize_feedback(
-                self.truth, t, slot, assignment, self.realize_rng,
-                self.channel, self.channel_rng,
-            )
-
-            s = self._series
-            s["reward"][t] = feedback.g.sum()
-            comp = feedback.per_scn_completed(M)
-            cons = feedback.per_scn_consumption(M)
-            s["completed"][t] = comp
-            s["consumption"][t] = cons
-            s["accepted"][t] = np.bincount(assignment.scn, minlength=M)
-            s["violation_qos_realized"][t] = np.maximum(alpha - comp, 0.0).sum()
-            s["violation_resource_realized"][t] = np.maximum(cons - beta, 0.0).sum()
-
-            if self.record_expected:
-                if len(assignment) > 0:
-                    exp_g, p_v, mu_q = expected_pair_stats(
-                        self.truth, t, pair_contexts, assignment.scn, pair_cells
-                    )
-                    s["expected_reward"][t] = exp_g.sum()
-                    exp_comp = np.bincount(assignment.scn, weights=p_v, minlength=M)
-                    exp_cons = np.bincount(assignment.scn, weights=mu_q, minlength=M)
-                else:
-                    exp_comp = np.zeros(M)
-                    exp_cons = np.zeros(M)
-                s["violation_qos"][t] = np.maximum(alpha - exp_comp, 0.0).sum()
-                s["violation_resource"][t] = np.maximum(exp_cons - beta, 0.0).sum()
-
-            self.policy.update(slot, feedback)
-            self.truth.advance(t, self.realize_rng)
-            if self.channel is not None:
-                self.channel.advance(t, self.channel_rng)
+            feedback = self._kernel.feedback(self.t, slot, assignment)
         self._pending = None
         self.t += 1
         return feedback
@@ -473,34 +379,7 @@ class OnlineSession:
         the horizon returns arrays directly comparable (``np.array_equal``)
         to a :meth:`Simulation.run` result.
         """
-        t = self.t
-        s = self._series
-        expected = self.record_expected
-        return SimulationResult(
-            policy_name=self.policy.name,
-            horizon=t,
-            num_scns=self.network.num_scns,
-            reward=s["reward"][:t].copy(),
-            expected_reward=s["expected_reward"][:t].copy(),
-            completed=s["completed"][:t].copy(),
-            consumption=s["consumption"][:t].copy(),
-            accepted=s["accepted"][:t].copy(),
-            violation_qos=s["violation_qos" if expected else "violation_qos_realized"][:t].copy(),
-            violation_resource=s[
-                "violation_resource" if expected else "violation_resource_realized"
-            ][:t].copy(),
-            violation_qos_realized=s["violation_qos_realized"][:t].copy(),
-            violation_resource_realized=s["violation_resource_realized"][:t].copy(),
-            has_expected=expected,
-            extras=self._result_extras(t),
-        )
-
-    def _result_extras(self, t: int) -> dict[str, np.ndarray]:
-        """Scenario-contributed series (e.g. sleep-mode energy), truncated."""
-        extras_fn = getattr(self.policy, "result_extras", None)
-        if not callable(extras_fn):
-            return {}
-        return {k: np.asarray(v)[:t].copy() for k, v in extras_fn().items()}
+        return self._kernel.series.result(self.policy, self.t)
 
     # -- checkpoint / restore -------------------------------------------------
 
@@ -527,6 +406,7 @@ class OnlineSession:
         if callable(channel_state_fn):
             channel_scalars, channel_arrays = _split_state(channel_state_fn())
         cursor = getattr(self.workload, "cursor", None)
+        kernel = self._kernel
         engine = getattr(getattr(self.policy, "config", None), "engine", None)
         header = {
             "kind": "session",
@@ -537,9 +417,9 @@ class OnlineSession:
             "record_expected": self.record_expected,
             "validate_assignments": self.validate_assignments,
             "rng": {
-                "workload": generator_state(self.workload_rng),
-                "realizations": generator_state(self.realize_rng),
-                "channel": generator_state(self.channel_rng),
+                "workload": generator_state(kernel.workload_rng),
+                "realizations": generator_state(kernel.realize_rng),
+                "channel": generator_state(kernel.channel_rng),
                 "policy": generator_state(self.policy.rng),
             },
             "workload_cursor": int(cursor()) if callable(cursor) else None,
@@ -557,8 +437,8 @@ class OnlineSession:
             ),
         }
         arrays: dict[str, np.ndarray] = {}
-        for name in _SERIES:
-            arrays[f"series.{name}"] = self._series[name]
+        for name in SERIES:
+            arrays[f"series.{name}"] = kernel.series.arrays[name]
         for key, value in policy_arrays.items():
             arrays[f"policy.{key}"] = value
         for key, value in truth_arrays.items():
@@ -600,9 +480,10 @@ class OnlineSession:
         )
         try:
             rng = header["rng"]
-            restore_generator_state(session.workload_rng, rng["workload"])
-            restore_generator_state(session.realize_rng, rng["realizations"])
-            restore_generator_state(session.channel_rng, rng["channel"])
+            kernel = session._kernel
+            restore_generator_state(kernel.workload_rng, rng["workload"])
+            restore_generator_state(kernel.realize_rng, rng["realizations"])
+            restore_generator_state(kernel.channel_rng, rng["channel"])
             restore_generator_state(session.policy.rng, rng["policy"])
 
             cursor = header.get("workload_cursor")
@@ -628,7 +509,7 @@ class OnlineSession:
                 elif section == "channel":
                     channel_state[name] = value
                 elif section == "series":
-                    target = session._series.get(name)
+                    target = kernel.series.arrays.get(name)
                     if target is None or target.shape != value.shape:
                         raise CheckpointFormatError(
                             f"series {name!r} has shape {value.shape}, "

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.lfsc import LFSCPolicy
-from repro.env.simulator import DEFAULT_WINDOW
+from repro.env.simulator import DEFAULT_WINDOW, effective_window
 from repro.env.window import PrecomputedSlot, precompute_window
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -168,9 +168,12 @@ class TestEffectiveWindow:
         sim = build_simulation(cfg)
         batched = LFSCPolicy(cfg.lfsc_config().with_overrides(engine="batched"))
         reference = LFSCPolicy(cfg.lfsc_config().with_overrides(engine="reference"))
-        assert sim._effective_window(batched, None) == DEFAULT_WINDOW
-        assert sim._effective_window(batched, 5) == 5
-        assert sim._effective_window(batched, 0) == 0
+        def size(policy, window):
+            return effective_window(sim.workload, policy, window)[0]
+
+        assert size(batched, None) == DEFAULT_WINDOW
+        assert size(batched, 5) == 5
+        assert size(batched, 0) == 0
         # The reference engine has no windowed path.
-        assert sim._effective_window(reference, None) == 0
-        assert sim._effective_window(reference, 5) == 0
+        assert size(reference, None) == 0
+        assert size(reference, 5) == 0

@@ -243,7 +243,7 @@ class TestObservabilityCommands:
 
 
 class TestUnifiedOptions:
-    """The shared option group (declared once) and its deprecated aliases."""
+    """The shared option group (declared once); the old aliases are gone."""
 
     RUN_COMMANDS = ("run", "fig2a", "fig2b", "fig2-violations", "ratio",
                     "fig3", "fig4", "ablations", "report", "replicate")
@@ -274,17 +274,13 @@ class TestUnifiedOptions:
         args = build_parser().parse_args(["run"])
         assert _config_from_args(args).oracle_cache is True
 
-    def test_deprecated_aliases_forward_with_note(self, capsys):
-        args = build_parser().parse_args(
-            ["run", "--trace-path", "t.jsonl", "--sample-every", "3",
-             "--result-transport", "pickle"]
-        )
-        err = capsys.readouterr().err
-        assert args.trace == "t.jsonl"
-        assert args.trace_sample == 3
-        assert args.transport == "pickle"
-        for note in ("--trace-path", "--sample-every", "--result-transport"):
-            assert f"{note} is deprecated" in err
+    def test_removed_aliases_exit_with_usage_error(self, capsys):
+        for argv in (["--trace-path", "t.jsonl"], ["--sample-every", "3"],
+                     ["--result-transport", "pickle"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["run", *argv])
+            assert exc.value.code == 2, argv[0]
+            assert argv[0] in capsys.readouterr().err
 
     def test_aliases_hidden_from_help(self):
         import io

@@ -7,9 +7,8 @@ Measures the sharded fleet driver (DESIGN.md §12) on the axes the paper's
   shard counts 1/2/4, each row carrying per-shard decision-latency
   p50/p90/p99 from :class:`repro.metrics.latency.LatencyRecorder`;
 - **equivalence gates**: before timing anything, sharded runs must match
-  the unsharded reference bit for bit across shard counts {1, 2, 4}, both
-  slot engines (batched/reference), windowed and per-slot streaming, and
-  the process transport; the sampler-coverage independence fast path must
+  the unsharded reference bit for bit across shard counts {1, 2, 4},
+  windowed and per-slot streaming, and the process transport; the sampler-coverage independence fast path must
   collapse to a single round with zero migrants.  A broken build cannot
   publish numbers.
 
@@ -57,23 +56,19 @@ def _gate_config(**overrides) -> FleetConfig:
 
 
 def check_equivalence() -> dict:
-    """Sharded ≡ unsharded across engines, windows, transports — or die."""
+    """Sharded ≡ unsharded across windows and transports — or die."""
     checks: dict[str, bool] = {}
-    for engine in ("batched", "reference"):
-        # engine="reference" forces per-slot streaming, so only the batched
-        # engine exercises both window settings.
-        for window in ((None, 0) if engine == "batched" else (None,)):
-            cfg = _gate_config(engine=engine, window=window)
-            ref = run_fleet(cfg, shards=1, mode="serial")
-            for shards in (2, 4):
-                res = run_fleet(cfg, shards=shards, mode="serial")
-                if not fleet_series_equal(res, ref):
-                    raise AssertionError(
-                        f"sharded run diverged: engine={engine} "
-                        f"window={window} shards={shards}"
-                    )
-            label = "default" if window is None else str(window)
-            checks[f"{engine}/window={label}"] = True
+    for window in (None, 0):
+        cfg = _gate_config(window=window)
+        ref = run_fleet(cfg, shards=1, mode="serial")
+        for shards in (2, 4):
+            res = run_fleet(cfg, shards=shards, mode="serial")
+            if not fleet_series_equal(res, ref):
+                raise AssertionError(
+                    f"sharded run diverged: window={window} shards={shards}"
+                )
+        label = "default" if window is None else str(window)
+        checks[f"window={label}"] = True
 
     cfg = _gate_config()
     ref = run_fleet(cfg, shards=1, mode="serial")

@@ -8,7 +8,7 @@ Times the identical simulation in three states:
 - ``trace`` — full JSONL slot tracing, ``sample_every=1``.
 
 Before timing, the script asserts all three states produce bit-identical
-reward trajectories for both slot engines — a benchmark of diverging runs
+reward trajectories — a benchmark of diverging runs
 would be meaningless, and divergence means instrumentation perturbed an
 RNG.  The headline number is the *disabled* overhead — ``metrics`` vs
 ``off`` — which the observability contract bounds at <5%: the subsystem
@@ -42,7 +42,6 @@ from repro.core.lfsc import LFSCPolicy
 from repro.experiments.runner import ExperimentConfig, build_simulation
 from repro.obs import MetricsRegistry, build_manifest, observe
 
-ENGINES = ("reference", "batched")
 STATES = ("off", "metrics", "trace")
 
 
@@ -53,15 +52,15 @@ def _config(scale: str, horizon: int | None) -> ExperimentConfig:
     return cfg
 
 
-def _run_state(cfg: ExperimentConfig, engine: str, state: str, horizon: int, trace_dir: Path):
+def _run_state(cfg: ExperimentConfig, state: str, horizon: int, trace_dir: Path):
     """One simulation under the given obs state; returns (result, seconds)."""
     sim = build_simulation(cfg)
-    policy = LFSCPolicy(cfg.lfsc_config().with_overrides(engine=engine))
+    policy = LFSCPolicy(cfg.lfsc_config())
     if state == "off":
         t0 = time.perf_counter()
         result = sim.run(policy, horizon)
         return result, time.perf_counter() - t0
-    trace_path = trace_dir / f"{engine}-{state}.jsonl" if state == "trace" else None
+    trace_path = trace_dir / f"{state}.jsonl" if state == "trace" else None
     with observe(trace_path=trace_path, registry=MetricsRegistry()):
         t0 = time.perf_counter()
         result = sim.run(policy, horizon)
@@ -71,54 +70,43 @@ def _run_state(cfg: ExperimentConfig, engine: str, state: str, horizon: int, tra
 def check_equivalence(cfg: ExperimentConfig, horizon: int, trace_dir: Path) -> None:
     """All three obs states must yield bit-identical trajectories."""
     short = cfg.with_overrides(horizon=min(horizon, 25))
-    for engine in ENGINES:
-        rewards = {}
-        for state in STATES:
-            result, _ = _run_state(short, engine, state, short.horizon, trace_dir)
-            rewards[state] = result.reward
-        for state in ("metrics", "trace"):
-            if not np.array_equal(rewards["off"], rewards[state]):
-                raise AssertionError(
-                    f"{engine} engine diverged with obs state {state!r} — "
-                    "instrumentation perturbed the run; benchmark invalid"
-                )
+    rewards = {}
+    for state in STATES:
+        result, _ = _run_state(short, state, short.horizon, trace_dir)
+        rewards[state] = result.reward
+    for state in ("metrics", "trace"):
+        if not np.array_equal(rewards["off"], rewards[state]):
+            raise AssertionError(
+                f"run diverged with obs state {state!r} — "
+                "instrumentation perturbed the run; benchmark invalid"
+            )
 
 
 def run_benchmark(cfg: ExperimentConfig, horizon: int, repeats: int) -> dict:
     report: dict = {
-        "schema": "bench_obs/v1",
+        "schema": "bench_obs/v2",
         "manifest": build_manifest(
             kind="bench",
             config=cfg,
-            engine=",".join(ENGINES),
             extra={"repeats": repeats, "states": list(STATES)},
         ),
         "config": {"horizon": horizon, "seed": cfg.seed, "repeats": repeats},
-        "engines": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         trace_dir = Path(tmp)
         check_equivalence(cfg, horizon, trace_dir)
-        for engine in ENGINES:
-            times = {state: [] for state in STATES}
-            for _ in range(repeats):
-                for state in STATES:
-                    _, seconds = _run_state(cfg, engine, state, horizon, trace_dir)
-                    times[state].append(seconds)
-            best = {state: min(ts) for state, ts in times.items()}
-            entry = {
-                f"{state}_ms_per_slot": 1e3 * best[state] / horizon for state in STATES
-            }
-            entry["disabled_overhead_pct"] = 100.0 * (best["metrics"] / best["off"] - 1.0)
-            entry["trace_overhead_pct"] = 100.0 * (best["trace"] / best["off"] - 1.0)
-            report["engines"][engine] = entry
+        times = {state: [] for state in STATES}
+        for _ in range(repeats):
+            for state in STATES:
+                _, seconds = _run_state(cfg, state, horizon, trace_dir)
+                times[state].append(seconds)
+    best = {state: min(ts) for state, ts in times.items()}
+    report["timings"] = {
+        f"{state}_ms_per_slot": 1e3 * best[state] / horizon for state in STATES
+    }
     report["headline"] = {
-        "disabled_overhead_pct_max": max(
-            e["disabled_overhead_pct"] for e in report["engines"].values()
-        ),
-        "trace_overhead_pct_max": max(
-            e["trace_overhead_pct"] for e in report["engines"].values()
-        ),
+        "disabled_overhead_pct": 100.0 * (best["metrics"] / best["off"] - 1.0),
+        "trace_overhead_pct": 100.0 * (best["trace"] / best["off"] - 1.0),
     }
     return report
 
@@ -126,18 +114,18 @@ def run_benchmark(cfg: ExperimentConfig, horizon: int, repeats: int) -> dict:
 def print_report(report: dict) -> None:
     cfg = report["config"]
     print(f"obs overhead — horizon={cfg['horizon']} repeats={cfg['repeats']} (min-of-N)")
-    header = f"{'engine':<12} {'off':>10} {'metrics':>10} {'trace':>10} {'disabled':>10} {'tracing':>10}"
+    header = f"{'off':>10} {'metrics':>10} {'trace':>10} {'disabled':>10} {'tracing':>10}"
     print(header)
     print("-" * len(header))
-    for engine, e in report["engines"].items():
-        print(
-            f"{engine:<12} {e['off_ms_per_slot']:>9.3f}m {e['metrics_ms_per_slot']:>9.3f}m "
-            f"{e['trace_ms_per_slot']:>9.3f}m {e['disabled_overhead_pct']:>+9.2f}% "
-            f"{e['trace_overhead_pct']:>+9.2f}%"
-        )
+    e, h = report["timings"], report["headline"]
     print(
-        f"\nheadline: disabled overhead max {report['headline']['disabled_overhead_pct_max']:+.2f}% "
-        f"(budget <5%), tracing {report['headline']['trace_overhead_pct_max']:+.2f}%"
+        f"{e['off_ms_per_slot']:>9.3f}m {e['metrics_ms_per_slot']:>9.3f}m "
+        f"{e['trace_ms_per_slot']:>9.3f}m {h['disabled_overhead_pct']:>+9.2f}% "
+        f"{h['trace_overhead_pct']:>+9.2f}%"
+    )
+    print(
+        f"\nheadline: disabled overhead {h['disabled_overhead_pct']:+.2f}% "
+        f"(budget <5%), tracing {h['trace_overhead_pct']:+.2f}%"
     )
 
 
@@ -165,13 +153,18 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument("--output", type=Path, default=None)
     args = parser.parse_args(argv)
+    if args.horizon is not None and args.horizon <= 0:
+        parser.error(f"--horizon must be a positive slot count, got {args.horizon}")
 
     if args.smoke:
-        scale, horizon = "small", args.horizon or 60
+        scale = "small"
+        horizon = 60 if args.horizon is None else args.horizon
     else:
         scale = args.scale
         env_horizon = os.environ.get("REPRO_BENCH_HORIZON")
-        horizon = args.horizon or (int(env_horizon) if env_horizon else None)
+        horizon = args.horizon
+        if horizon is None and env_horizon:
+            horizon = int(env_horizon)
         if horizon is None:
             horizon = 300 if scale == "paper" else 400
 
@@ -188,7 +181,7 @@ def main(argv: list[str] | None = None) -> None:
         print(f"wrote {output}")
 
     if args.require_overhead_below is not None:
-        worst = report["headline"]["disabled_overhead_pct_max"]
+        worst = report["headline"]["disabled_overhead_pct"]
         if worst >= args.require_overhead_below:
             raise SystemExit(
                 f"disabled obs overhead {worst:+.2f}% >= "
@@ -210,7 +203,7 @@ def test_obs_states_equivalent_before_timing(tmp_path):
     check_equivalence(cfg, horizon, tmp_path)
 
 
-def test_batched_engine_with_metrics_context(benchmark):
+def test_lfsc_with_metrics_context(benchmark):
     cfg, horizon = _smoke_cfg()
     sim = build_simulation(cfg)
     policy = LFSCPolicy(cfg.lfsc_config())

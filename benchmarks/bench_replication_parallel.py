@@ -92,7 +92,6 @@ def run_benchmark(cfg: ExperimentConfig, replications: int) -> dict:
             config=cfg,
             seeds=[r.seed for r in serial_runs],
             policies=list(POLICIES),
-            engine=cfg.lfsc_config().engine,
         ),
         "config": {
             "num_scns": cfg.num_scns,
@@ -171,13 +170,18 @@ def main(argv: list[str] | None = None) -> int:
         help="where to write the JSON report (default: repo-root BENCH_replication.json)",
     )
     args = parser.parse_args(argv)
+    if args.horizon is not None and args.horizon <= 0:
+        parser.error(f"--horizon must be a positive slot count, got {args.horizon}")
 
     if args.smoke:
-        scale, horizon = "small", args.horizon or 150
+        scale = "small"
+        horizon = 150 if args.horizon is None else args.horizon
     else:
         scale = args.scale
         env_horizon = os.environ.get("REPRO_BENCH_HORIZON")
-        horizon = args.horizon or (int(env_horizon) if env_horizon else None)
+        horizon = args.horizon
+        if horizon is None and env_horizon:
+            horizon = int(env_horizon)
         if horizon is None:
             horizon = 1000 if scale == "paper" else 600
 

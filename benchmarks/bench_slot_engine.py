@@ -1,13 +1,14 @@
-"""End-to-end A/B benchmark of the two LFSC slot engines.
+"""End-to-end A/B benchmark of LFSC's slot kernel against the per-SCN loop.
 
-Runs the identical simulation twice per assignment mode — once with
-``LFSCConfig.engine = "reference"`` (the paper-shaped per-SCN loop) and once
-with ``"batched"`` (the flat edge-list engine) — and reports per-slot
-wall-clock for the policy hot path (``select`` + ``update``) and for the
-full simulation loop.  Because the engines are bit-equivalent given the same
-seed (``tests/core/test_lfsc_engine_equivalence.py``), both runs traverse
-the same weight/assignment trajectory, so the comparison is apples to
-apples; the script asserts that equivalence on a short prefix before timing.
+Runs the identical simulation twice per assignment mode — once on the
+paper-shaped per-SCN loop (the ``reference`` arm: the test oracle of
+``tests/core/reference_lfsc.py``) and once on :class:`LFSCPolicy`'s flat
+edge-list kernel (the ``batched`` arm) — and reports per-slot wall-clock for
+the policy hot path (``select`` + ``update``) and for the full simulation
+loop.  Because the two are bit-equivalent given the same seed
+(``tests/core/test_lfsc_engine_equivalence.py``), both runs traverse the
+same weight/assignment trajectory, so the comparison is apples to apples;
+the script asserts that equivalence on a short prefix before timing.
 
 Usage::
 
@@ -16,11 +17,11 @@ Usage::
     PYTHONPATH=src python -m pytest benchmarks/bench_slot_engine.py  # pytest-benchmark
 
 Results land in ``BENCH_slot_engine.json`` (see ``--output``): per-slot
-milliseconds for both engines in both assignment modes, plus the derived
+milliseconds for both arms in both assignment modes, plus the derived
 speedups.  The headline number is the policy-engine speedup — the ratio of
 reference to batched (select + update) time — since that is exactly the
-code the two engines implement differently; the end-to-end ratio also
-includes the engine-independent environment work (workload generation,
+code the two arms implement differently; the end-to-end ratio also
+includes the arm-independent environment work (workload generation,
 feedback realization, expected-violation recording) and is therefore lower.
 
 Scale knobs follow ``benchmarks/conftest.py``: ``REPRO_BENCH_SCALE``
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -41,8 +43,16 @@ from repro.core.lfsc import LFSCPolicy
 from repro.experiments.runner import ExperimentConfig, build_simulation
 from repro.obs.manifest import build_manifest
 
+# The reference arm is the per-SCN test oracle, importable from the repo root.
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from tests.core.reference_lfsc import ReferenceLFSCPolicy  # noqa: E402
+
 MODES = ("deterministic", "depround")
 ENGINES = ("reference", "batched")
+_POLICIES = {"reference": ReferenceLFSCPolicy, "batched": LFSCPolicy}
 
 
 def _config(scale: str, horizon: int | None) -> ExperimentConfig:
@@ -53,8 +63,7 @@ def _config(scale: str, horizon: int | None) -> ExperimentConfig:
 
 
 def _policy(cfg: ExperimentConfig, mode: str, engine: str) -> LFSCPolicy:
-    lfsc = cfg.lfsc_config().with_overrides(assignment_mode=mode, engine=engine)
-    return LFSCPolicy(lfsc)
+    return _POLICIES[engine](cfg.lfsc_config().with_overrides(assignment_mode=mode))
 
 
 def timed_run(cfg: ExperimentConfig, mode: str, engine: str, horizon: int) -> dict:
@@ -82,7 +91,7 @@ def timed_run(cfg: ExperimentConfig, mode: str, engine: str, horizon: int) -> di
     policy._update = update
 
     # window=0 pins the per-slot driver: this benchmark isolates the two
-    # engines' slot kernels; the windowed pipeline is A/B'd separately in
+    # arms' slot bodies; the windowed pipeline is A/B'd separately in
     # benchmarks/bench_window.py.
     t0 = time.perf_counter()
     result = sim.run(policy, horizon, window=0)
@@ -99,7 +108,7 @@ def timed_run(cfg: ExperimentConfig, mode: str, engine: str, horizon: int) -> di
 
 
 def check_equivalence(cfg: ExperimentConfig, mode: str, horizon: int = 25) -> None:
-    """Assert both engines produce the identical trajectory (same seed)."""
+    """Assert both arms produce the identical trajectory (same seed)."""
     short = cfg.with_overrides(horizon=horizon)
     rewards = {}
     for engine in ENGINES:
@@ -107,16 +116,14 @@ def check_equivalence(cfg: ExperimentConfig, mode: str, horizon: int = 25) -> No
         result = sim.run(_policy(short, mode, engine), horizon, window=0)
         rewards[engine] = result.reward
     if not np.array_equal(rewards["reference"], rewards["batched"]):
-        raise AssertionError(f"engines diverged in {mode} mode — benchmark would be invalid")
+        raise AssertionError(f"arms diverged in {mode} mode — benchmark would be invalid")
 
 
 def run_benchmark(cfg: ExperimentConfig, horizon: int) -> dict:
     report: dict = {
         "schema": "bench_slot_engine/v2",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "manifest": build_manifest(
-            kind="bench", config=cfg, engine=",".join(ENGINES)
-        ),
+        "manifest": build_manifest(kind="bench", config=cfg, extra={"arms": list(ENGINES)}),
         "config": {
             "num_scns": cfg.num_scns,
             "capacity": cfg.capacity,
@@ -194,13 +201,18 @@ def main(argv: list[str] | None = None) -> None:
         help="where to write the JSON report (default: repo-root BENCH_slot_engine.json)",
     )
     args = parser.parse_args(argv)
+    if args.horizon is not None and args.horizon <= 0:
+        parser.error(f"--horizon must be a positive slot count, got {args.horizon}")
 
     if args.smoke:
-        scale, horizon = "small", args.horizon or 60
+        scale = "small"
+        horizon = 60 if args.horizon is None else args.horizon
     else:
         scale = args.scale
         env_horizon = os.environ.get("REPRO_BENCH_HORIZON")
-        horizon = args.horizon or (int(env_horizon) if env_horizon else None)
+        horizon = args.horizon
+        if horizon is None and env_horizon:
+            horizon = int(env_horizon)
         if horizon is None:
             horizon = 300 if scale == "paper" else 400
 

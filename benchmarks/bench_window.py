@@ -79,8 +79,7 @@ def _paper4x(horizon: int) -> ExperimentConfig:
 
 
 def _policy(cfg: ExperimentConfig, mode: str) -> LFSCPolicy:
-    lfsc = cfg.lfsc_config().with_overrides(assignment_mode=mode, engine="batched")
-    return LFSCPolicy(lfsc)
+    return LFSCPolicy(cfg.lfsc_config().with_overrides(assignment_mode=mode))
 
 
 def check_equivalence(cfg: ExperimentConfig, mode: str, horizon: int = 25) -> None:
@@ -182,7 +181,7 @@ def run_benchmark(
     report: dict = {
         "schema": "bench_window/v2",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "manifest": build_manifest(kind="bench", config=first_cfg, engine="batched"),
+        "manifest": build_manifest(kind="bench", config=first_cfg),
         "native_kernels": native.available(),
         "default_window": DEFAULT_WINDOW,
         "equivalence_windows": list(EQUIV_WINDOWS),
@@ -301,13 +300,18 @@ def main(argv: list[str] | None = None) -> None:
         help="where to write the JSON report (default: repo-root BENCH_window.json)",
     )
     args = parser.parse_args(argv)
+    if args.horizon is not None and args.horizon <= 0:
+        parser.error(f"--horizon must be a positive slot count, got {args.horizon}")
 
     if args.smoke:
-        scale, horizon = "small", args.horizon or 60
+        scale = "small"
+        horizon = 60 if args.horizon is None else args.horizon
     else:
         scale = args.scale
         env_horizon = os.environ.get("REPRO_BENCH_HORIZON")
-        horizon = args.horizon or (int(env_horizon) if env_horizon else None)
+        horizon = args.horizon
+        if horizon is None and env_horizon:
+            horizon = int(env_horizon)
         if horizon is None:
             horizon = 300 if scale == "paper" else 400
 

@@ -44,7 +44,7 @@ the cross-replication window cache — both bit-identical, only faster.
 
 Every run-type subcommand shares one option group (declared once in
 :func:`_add_run_options`): ``--scale/--scenario/--horizon/--seed/--workers/--window/
---engine/--transport/--trace/--trace-sample/--manifest-dir/--no-oracle-cache/
+--transport/--trace/--trace-sample/--manifest-dir/--no-oracle-cache/
 --cache-dir/--shared-window/--no-shared-window`` plus ``--plot/--save``.
 """
 
@@ -108,8 +108,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["shared_window"] = args.shared_window
     if overrides:
         cfg = cfg.with_overrides(**overrides)
-    if getattr(args, "engine", None) is not None:
-        cfg = cfg.with_lfsc_overrides(engine=args.engine)
     return cfg
 
 
@@ -153,13 +151,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help="slot-streaming window: precompute W slots at a time "
         "(0 = per-slot, default = simulator's choice; results are "
         "bit-identical for every W)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("batched", "reference"),
-        default=None,
-        help="LFSC slot-engine implementation (default: the config's choice, "
-        "normally 'batched'; results are bit-identical either way)",
     )
     parser.add_argument(
         "--transport",
@@ -418,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument("--seed", type=int, default=0)
     fleet_p.add_argument("--truth-seed", type=int, default=7)
     fleet_p.add_argument("--policy", default="LFSC")
-    fleet_p.add_argument("--engine", choices=("batched", "reference"), default="batched")
     fleet_p.add_argument(
         "--window",
         type=int,
@@ -757,7 +747,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             truth_seed=args.truth_seed,
             policy=args.policy,
-            engine=args.engine,
             window=args.window,
             exchange_every=args.exchange_every,
             mbs_capacity=args.mbs_capacity,

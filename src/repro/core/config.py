@@ -61,13 +61,6 @@ class LFSCConfig:
     use_lagrangian:
         Ablation switch: False freezes both multipliers at 0, reducing
         LFSC to pure constrained-blind Exp3.M + greedy.
-    engine:
-        Slot-engine implementation: ``"batched"`` (default) runs the flat
-        edge-list kernels (one Alg. 2 / Alg. 3 pass over all SCNs);
-        ``"reference"`` runs the paper-shaped per-SCN loop.  Both produce
-        bit-identical trajectories under the same seed — the reference
-        path is kept for readability and A/B benchmarking
-        (``benchmarks/bench_slot_engine.py``).
     """
 
     partition: ContextPartition = field(default_factory=ContextPartition)
@@ -80,7 +73,6 @@ class LFSCConfig:
     tie_jitter: float = 1e-9
     max_exponent: float = 10.0
     use_lagrangian: bool = True
-    engine: str = "batched"
 
     def __post_init__(self) -> None:
         require(0.0 < self.gamma <= 1.0, f"gamma must be in (0,1], got {self.gamma}")
@@ -94,10 +86,6 @@ class LFSCConfig:
         require(
             self.assignment_mode in ("depround", "deterministic"),
             f"assignment_mode must be 'depround' or 'deterministic', got {self.assignment_mode!r}",
-        )
-        require(
-            self.engine in ("batched", "reference"),
-            f"engine must be 'batched' or 'reference', got {self.engine!r}",
         )
 
     @property

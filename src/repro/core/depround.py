@@ -12,9 +12,9 @@ before the greedy coordination resolves conflicts (see
 :class:`repro.core.config.LFSCConfig.assignment_mode`).
 
 Two entry points share the walk: :func:`depround` is the per-SCN call the
-reference engine and the property tests exercise, and
-:func:`draw_count` + :func:`walk_into` expose the pieces the windowed
-batched engine fuses across a whole slot — it precomputes every segment's
+edge-score hook, the per-SCN test oracle and the property tests exercise,
+and :func:`draw_count` + :func:`walk_into` expose the pieces the batched
+slot kernel fuses across a whole slot — it precomputes every segment's
 uniform draw count, takes all draws in one generator call (bitwise the
 same stream as per-segment calls), and walks each segment on presliced
 lists.

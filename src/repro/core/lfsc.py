@@ -20,26 +20,21 @@ before the greedy resolves conflicts; ``"deterministic"`` is the
 paper-literal variant that feeds the probabilities directly to the greedy as
 edge weights.  ``benchmarks/bench_ablations.py`` compares them.
 
-Two slot engines implement the identical algorithm
-(``LFSCConfig.engine``):
+The slot runs as one flat edge list over the bipartite coverage graph
+(:class:`repro.env.window.SlotEdges`, precomputed by the windowed slot loops
+or built at select time): hypercubes are assigned once for the full task
+batch, Alg. 2 runs for all M SCNs in one
+:func:`~repro.core.probability.capped_probabilities_batch_into` call,
+DepRound is one fused walk over every segment
+(:func:`repro.core.native.walk_segments`), and the Alg. 3 update is a single
+scatter over (SCN, cube) pairs.
 
-- ``"batched"`` (default) — the whole slot is laid out as one flat edge
-  list over the bipartite coverage graph (:class:`repro.env.window.SlotEdges`,
-  precomputed by the windowed slot loops or built at select time); hypercubes
-  are assigned once for the full task batch, Alg. 2 runs for all M SCNs in
-  one :func:`~repro.core.probability.capped_probabilities_batch_into` call,
-  DepRound is one fused walk over every segment
-  (:func:`repro.core.native.walk_segments`), and the Alg. 3 update is a
-  single scatter over (SCN, cube) pairs.
-- ``"reference"`` — the paper-shaped per-SCN loop, kept as the readable
-  specification and the A/B baseline.
-
-The engines are interchangeable: given the same seed they produce
+The paper-shaped per-SCN loop lives on as the test oracle
+(``tests/core/reference_lfsc.py``): given the same seed the kernel produces
 bit-identical assignments and weight trajectories in both assignment modes
-(the batched kernels match the per-SCN arithmetic to the last ulp and
-consume the policy RNG in the same order).
-``tests/core/test_lfsc_engine_equivalence.py`` enforces this;
-``benchmarks/bench_slot_engine.py`` measures the speedup.
+(it matches the per-SCN arithmetic to the last ulp and consumes the policy
+RNG in the same order).  ``tests/core/test_lfsc_engine_equivalence.py``
+enforces this; ``benchmarks/bench_slot_engine.py`` measures the speedup.
 """
 
 from __future__ import annotations
@@ -52,24 +47,20 @@ from repro.obs import runtime as obs_runtime
 from repro.core import native as _native
 from repro.core.depround import _TOL as _DR_TOL
 from repro.core.depround import depround, walk_into
-from repro.core.estimators import CubeStatistics, aggregate_by_cube, importance_weighted
-from repro.core.greedy import greedy_select, greedy_select_edges
+from repro.core.estimators import CubeStatistics
+# greedy_select, capped_probabilities and capped_probabilities_batch are
+# imported for perfbench/hooks.py, whose boundary table resolves and times
+# them in this module.
+from repro.core.greedy import greedy_select, greedy_select_edges  # noqa: F401
 from repro.core.multipliers import LagrangeMultipliers
-# capped_probabilities_batch is imported for perfbench/hooks.py, whose
-# boundary table resolves and times it in this module.
 from repro.core.probability import (
     CappedProbabilities,
     CappedProbabilitiesBatch,
-    capped_probabilities,
+    capped_probabilities,  # noqa: F401
     capped_probabilities_batch,  # noqa: F401
     capped_probabilities_batch_into,
 )
-from repro.core.update import (
-    apply_weight_update,
-    lagrangian_utility,
-    recenter_log_weights,
-    weight_exponents,
-)
+from repro.core.update import lagrangian_utility, recenter_log_weights, weight_exponents
 from repro.env.network import NetworkConfig
 from repro.env.simulator import Assignment, SlotFeedback, SlotObservation
 from repro.env.window import classify_edges, precompute_slots
@@ -79,26 +70,8 @@ __all__ = ["LFSCPolicy"]
 _LOG_W_FLOOR = 1e-300
 
 
-class _SlotCache:
-    """What the reference select() must remember for the matching update()."""
-
-    __slots__ = ("t", "coverage", "cubes", "probs")
-
-    def __init__(
-        self,
-        t: int,
-        coverage: list[np.ndarray],
-        cubes: list[np.ndarray],
-        probs: list[CappedProbabilities],
-    ) -> None:
-        self.t = t
-        self.coverage = coverage
-        self.cubes = cubes
-        self.probs = probs
-
-
 class _EdgeArena:
-    """Reusable per-slot scratch buffers for the windowed batched engine.
+    """Reusable per-slot scratch buffers for the batched slot kernel.
 
     One arena per policy, grown on demand and overwritten every slot: the
     windowed ``select()`` stages its edge-length intermediates (log-weight
@@ -147,8 +120,9 @@ class _BatchedSlotCache:
     ``pre`` is the slot's :class:`~repro.env.window.SlotEdges` (classified
     for the policy's partition), letting update() reuse its sorted key and
     Alg. 3 scatter index.  ``coverage``/``cubes``/``probs`` expose the
-    per-SCN views subclasses and diagnostics expect from the reference
-    :class:`_SlotCache`; the lists are materialized lazily on first access.
+    per-SCN views subclasses and diagnostics read (the same views the
+    per-SCN test oracle keeps); the lists are materialized lazily on first
+    access.
     """
 
     __slots__ = ("t", "pre", "batch", "coverage", "_cubes")
@@ -213,7 +187,7 @@ class LFSCPolicy(OffloadingPolicy):
         self.log_w: np.ndarray | None = None
         self.multipliers: LagrangeMultipliers | None = None
         self.stats: CubeStatistics | None = None
-        self._cache: _SlotCache | _BatchedSlotCache | None = None
+        self._cache: _BatchedSlotCache | None = None
         self._arena = _EdgeArena()
         self.multiplier_history_qos: np.ndarray | None = None
         self.multiplier_history_resource: np.ndarray | None = None
@@ -223,7 +197,7 @@ class LFSCPolicy(OffloadingPolicy):
         """The hypercube partition select() classifies contexts with.
 
         The windowed simulator reads this (duck-typed) to pre-classify each
-        slot's contexts once per window; :meth:`_select_batched` then accepts
+        slot's contexts once per window; :meth:`select` then accepts
         the precomputed cubes only if the slot's partition matches.
         """
         return self.config.partition
@@ -250,54 +224,9 @@ class LFSCPolicy(OffloadingPolicy):
     # -- decision (Alg. 2 + Alg. 4) ------------------------------------------
 
     def select(self, slot: SlotObservation) -> Assignment:
-        if self.config.engine == "reference":
-            return self._select_reference(slot)
-        return self._select_batched(slot)
+        """One flat edge list for the whole slot.
 
-    def _select_reference(self, slot: SlotObservation) -> Assignment:
-        """The paper-shaped per-SCN loop (specification / A/B baseline)."""
-        network = self._require_reset()
-        assert self.log_w is not None
-        cfg = self.config
-        M = network.num_scns
-        c = network.capacity
-
-        coverage: list[np.ndarray] = []
-        cubes_per_scn: list[np.ndarray] = []
-        probs_per_scn: list[CappedProbabilities] = []
-        scores_per_scn: list[np.ndarray] = []
-
-        with obs_runtime.span("lfsc.alg2"):
-            for m in range(M):
-                cov = np.asarray(slot.coverage[m], dtype=np.int64)
-                if cov.size > 1 and np.any(np.diff(cov) < 0):
-                    cov = np.sort(cov)
-                cubes = cfg.partition.assign(slot.tasks.contexts[cov]) if cov.size else cov
-                if cov.size:
-                    # Normalize by the max over the cubes actually present so
-                    # the largest weight is exactly 1 (no under/overflow
-                    # regardless of how far apart the row's log-weights have
-                    # drifted).
-                    logs = self.log_w[m][cubes]
-                    w = np.maximum(np.exp(logs - logs.max()), _LOG_W_FLOOR)
-                    cp = capped_probabilities(w, c, cfg.gamma)
-                else:
-                    cp = CappedProbabilities(
-                        p=np.empty(0), capped=np.empty(0, dtype=bool), threshold=np.nan
-                    )
-                coverage.append(cov)
-                cubes_per_scn.append(cubes)
-                probs_per_scn.append(cp)
-                scores_per_scn.append(self._edge_scores(cp, cov, slot))
-
-        self._cache = _SlotCache(slot.t, coverage, cubes_per_scn, probs_per_scn)
-        with obs_runtime.span("lfsc.greedy"):
-            return greedy_select(coverage, scores_per_scn, c, len(slot.tasks))
-
-    def _select_batched(self, slot: SlotObservation) -> Assignment:
-        """One flat edge list for the whole slot (bit-equivalent, ~4x faster).
-
-        Every batched select runs the slot kernel of
+        Every select runs the slot kernel of
         :meth:`_select_batched_pre`.  A slot that arrives without a usable
         layout — a ``window=0`` run, a slot a wrapper rewrote, or a
         precomputed slot whose cubes are missing (stateful partitions are
@@ -325,8 +254,8 @@ class LFSCPolicy(OffloadingPolicy):
         this path is pure per-slot arithmetic: gather log-weights through the
         precomputed flat index, run Alg. 2 into the reusable arena, and draw
         DepRound/jitter in the frozen per-SCN stream order.  The per-edge
-        arithmetic matches :meth:`_select_reference` to the last ulp and
-        consumes the policy RNG identically, so the engines agree bit for bit.
+        arithmetic matches the per-SCN test oracle to the last ulp and
+        consumes the policy RNG identically, so the two agree bit for bit.
         """
         assert self.log_w is not None
         cfg = self.config
@@ -512,8 +441,8 @@ class LFSCPolicy(OffloadingPolicy):
 
         Subclasses may override to re-rank edges (e.g. the multi-slot
         priority bonus of :class:`repro.baselines.priority.PriorityAwareLFSC`);
-        ``cov`` and ``slot`` identify which tasks the scores refer to.  Both
-        slot engines call this hook once per SCN, in SCN order.
+        ``cov`` and ``slot`` identify which tasks the scores refer to.  A
+        subclass override is called once per SCN, in SCN order.
         """
         if cp.p.size == 0:
             return cp.p
@@ -538,11 +467,7 @@ class LFSCPolicy(OffloadingPolicy):
         M = network.num_scns
 
         with obs_runtime.span("lfsc.update"):
-            if isinstance(cache, _BatchedSlotCache):
-                self._update_batched(slot, feedback, cache)
-            else:
-                self._update_reference(slot, feedback, cache)
-
+            self._update_weights(slot, feedback, cache)
             recenter_log_weights(self.log_w)
 
         if cfg.use_lagrangian:
@@ -558,77 +483,16 @@ class LFSCPolicy(OffloadingPolicy):
             self.multiplier_history_resource[self.t] = self.multipliers.resource
         self._cache = None
 
-    def _update_reference(
-        self, slot: SlotObservation, feedback: SlotFeedback, cache: _SlotCache
-    ) -> None:
-        network = self._require_reset()
-        cfg = self.config
-        M = network.num_scns
-        F = cfg.partition.num_cubes
-        asn = feedback.assignment
-
-        lam_qos = self.multipliers.qos if cfg.use_lagrangian else np.zeros(M)
-        lam_res = self.multipliers.resource if cfg.use_lagrangian else np.zeros(M)
-
-        for m in range(M):
-            cov = cache.coverage[m]
-            if cov.size == 0:
-                continue
-            cubes = cache.cubes[m]
-            cp = cache.probs[m]
-
-            pair_rows = np.flatnonzero(asn.scn == m)
-            sel_tasks = asn.task[pair_rows]
-            pos = np.searchsorted(cov, sel_tasks)
-
-            K = cov.size
-            selected = np.zeros(K, dtype=bool)
-            selected[pos] = True
-            # Per-task Lagrangian utility for the processed tasks; the α/c
-            # and β/c targets center it at the per-task constraint shares
-            # (see core.update.lagrangian_utility).
-            util_full = np.zeros(K)
-            util_full[pos] = lagrangian_utility(
-                feedback.g[pair_rows],
-                feedback.v[pair_rows],
-                feedback.q[pair_rows],
-                float(lam_qos[m]),
-                float(lam_res[m]),
-                qos_target=network.alpha / network.capacity,
-                resource_target=network.beta / network.capacity,
-            )
-            util_hat = importance_weighted(util_full, selected, cp.p)
-            util_f, counts = aggregate_by_cube(util_hat, cubes, F)
-
-            present = np.flatnonzero(counts > 0)
-            # Boolean scatter beats np.isin/np.unique on these small sets.
-            capped_mask = np.zeros(F, dtype=bool)
-            capped_mask[cubes[cp.capped]] = True
-            skip = capped_mask[present]
-            exponents = weight_exponents(
-                util_f[present], cfg.eta, max_exponent=cfg.max_exponent
-            )
-            apply_weight_update(self.log_w[m], present, exponents, skip)
-
-            if pair_rows.size:
-                self.stats.observe(
-                    np.full(pair_rows.size, m, dtype=np.int64),
-                    cubes[pos],
-                    feedback.g[pair_rows],
-                    feedback.v[pair_rows],
-                    feedback.q[pair_rows],
-                )
-
-    def _update_batched(
+    def _update_weights(
         self, slot: SlotObservation, feedback: SlotFeedback, cache: _BatchedSlotCache
     ) -> None:
         """Alg. 3 as one scatter over the slot's flat edge list.
 
-        Reproduces :meth:`_update_reference` bit-for-bit: the per-(SCN, cube)
+        Reproduces the per-SCN update bit-for-bit: the per-(SCN, cube)
         accumulation visits edges in the same order the per-SCN loop does —
         whether through the native scatter kernel
         (:func:`repro.core.native.scatter_update`) or the bincount fallback —
-        and every elementwise operation matches the reference arithmetic
+        and every elementwise operation matches the per-SCN arithmetic
         exactly.
         """
         network = self._require_reset()

@@ -224,8 +224,8 @@ def capped_probabilities_batch(
     ``weights[offsets[m]:offsets[m+1]]``: the per-edge arithmetic is batched
     over the whole edge list, while each segment's normalizing sum is taken
     with the same ``np.sum`` (pairwise summation) the per-SCN path uses, so
-    the probabilities agree to the last ulp — the equivalence the batched
-    LFSC engine's A/B tests rely on.
+    the probabilities agree to the last ulp — the equivalence LFSC's
+    per-SCN-oracle tests rely on.
 
     Parameters
     ----------

@@ -1,7 +1,7 @@
 """Windowed slot precompute: stream W slots through the batched kernels.
 
-The batched slot engine (PR 1) made a *single* slot one flat edge list, but
-every slot still rebuilds that layout — coverage concatenation, hypercube
+LFSC's slot kernel lays a *single* slot out as one flat edge list, but
+every slot would still rebuild that layout — coverage concatenation, hypercube
 classification, ground-truth cell lookup — from scratch.  This module
 precomputes those slot-invariant structures for a *window* of W slots in one
 vectorized pass:
@@ -27,8 +27,8 @@ vectorized pass:
 
 Everything here is *derived* data — no random draws happen outside
 ``sample_slots`` — so a windowed trajectory is bit-identical to the
-per-slot one (``tests/env/test_window.py`` enforces this for both engines,
-both assignment modes, and window sizes straddling the horizon).
+per-slot one (``tests/env/test_window.py`` enforces this for both
+assignment modes and window sizes straddling the horizon).
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class SlotWindow:
 def _normalize_coverage(
     coverage: Sequence[np.ndarray],
 ) -> list[np.ndarray]:
-    """Coverage lists as int64 arrays, matching the batched engine's intake."""
+    """Coverage lists as int64 arrays, matching the slot kernel's intake."""
     return [np.asarray(cov, dtype=np.int64) for cov in coverage]
 
 
@@ -161,8 +161,8 @@ def _build_edges(
 
     ``edge_task`` may be repaired (sorted per segment) in place; the same
     repair is written back into ``coverage`` so the slot and its edge list
-    stay consistent — identical logic to the batched engine's per-slot
-    sortedness check.
+    stay consistent — the same repair the per-SCN loop applies to each
+    SCN's coverage.
     """
     E = int(offsets[-1])
     M = lengths.shape[0]
@@ -214,15 +214,12 @@ def precompute_eligibility(workload: object, policy: object) -> tuple[bool, obje
 
     Returns ``(eligible, partition)``.  Slots are precomputed only for a
     windowable workload (slots a pure function of ``(t, rng)`` consumed in
-    order) and a policy not on the reference engine, which stays the
-    readable per-slot baseline.  ``partition`` is the policy's
-    ``context_partition`` when it is immutable (``windowable``); a stateful
-    one (adaptive refinement) would reassign cubes between classification
-    and use, so it is None and the policy classifies at select time.
+    order).  ``partition`` is the policy's ``context_partition`` when it is
+    immutable (``windowable``); a stateful one (adaptive refinement) would
+    reassign cubes between classification and use, so it is None and the
+    policy classifies at select time.
     """
     if not getattr(workload, "windowable", False):
-        return False, None
-    if getattr(getattr(policy, "config", None), "engine", None) == "reference":
         return False, None
     partition = getattr(policy, "context_partition", None)
     if partition is not None and not getattr(partition, "windowable", False):

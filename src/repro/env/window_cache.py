@@ -1,7 +1,7 @@
 """Cross-run window cache: precompute each environment's windows once.
 
 Sweeps replay the *same* environment many times — every α point of a fig3
-sweep, every policy of a line-up, and every engine variant re-derives the
+sweep, every policy of a line-up, and every ablation variant re-derives the
 identical workload stream (stream contract v2: environment streams are
 namespaced independently of the policy, :mod:`repro.utils.rng`) and then
 re-runs :func:`~repro.env.window.precompute_window` from scratch.  This
@@ -20,8 +20,8 @@ module memoizes those windows:
   restores both — so a run that hits for some windows and misses for others
   is still bit-identical to a fully cold run;
 - windows are pure *derived* data (no draw happens outside ``sample_slots``),
-  so sharing the same :class:`PrecomputedSlot` objects across sweep points,
-  policies, and engines is sound as long as consumers treat slots as
+  so sharing the same :class:`PrecomputedSlot` objects across sweep points
+  and policies is sound as long as consumers treat slots as
   read-only — which every policy already does (slots are frozen dataclasses).
 
 Cross-process sharing rides the existing shm transport

@@ -115,14 +115,12 @@ def _emit_manifest(
     """Write the sweep's provenance manifest when a directory is given."""
     if manifest_dir is None:
         return None
-    lfsc = cfg.lfsc_config()
     return write_manifest(
         Path(manifest_dir),
         kind="replication",
         config=cfg,
         seeds=seed_list,
         policies=policies,
-        engine=lfsc.engine,
         extra={"workers": workers},
     )
 
@@ -175,7 +173,7 @@ def run_replications(
         for — megabytes of arrays per seed.
     manifest_dir:
         When given, writes ``<manifest_dir>/manifest.json`` with the sweep's
-        full provenance (config, seed list, engine, git SHA, host, versions)
+        full provenance (config, seed list, policies, git SHA, host, versions)
         before the sweep runs — so even a crashed sweep leaves its manifest.
 
     Returns

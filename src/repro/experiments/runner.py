@@ -171,11 +171,12 @@ class ExperimentConfig:
         return replace(self, **changes)
 
     def with_lfsc_overrides(self, **changes) -> "ExperimentConfig":
-        """Override LFSC fields (e.g. ``engine``, ``assignment_mode``) in place.
+        """Override LFSC fields (e.g. ``assignment_mode``) in place.
 
         Resolves the effective LFSC config first (explicit override or the
-        Theorem 1 schedule), so e.g. ``cfg.with_lfsc_overrides(engine="reference")``
-        switches the slot engine without disturbing the learning schedule.
+        Theorem 1 schedule), so e.g.
+        ``cfg.with_lfsc_overrides(assignment_mode="deterministic")`` switches
+        the assignment mode without disturbing the learning schedule.
         """
         return self.with_overrides(lfsc=self.lfsc_config().with_overrides(**changes))
 

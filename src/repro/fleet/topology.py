@@ -65,9 +65,6 @@ class FleetConfig:
         ``fleet_seed(truth_seed, k)`` (stream contract v2 extension).
     policy:
         Per-tile policy name (``make_policy`` line-up; default LFSC).
-    engine:
-        LFSC slot engine — ``"batched"`` (default) or ``"reference"``
-        (which also forces the per-slot path, as in the simulator).
     window:
         Slot-streaming window override (``None`` — simulator default).
     exchange_every:
@@ -107,7 +104,6 @@ class FleetConfig:
     seed: int = 0
     truth_seed: int = 7
     policy: str = "LFSC"
-    engine: str = "batched"
     window: int | None = None
     exchange_every: int = 16
     # MBS tier.
@@ -125,10 +121,6 @@ class FleetConfig:
         require(
             self.coverage in ("mobility", "sampler"),
             f"coverage must be 'mobility' or 'sampler', got {self.coverage!r}",
-        )
-        require(
-            self.engine in ("batched", "reference"),
-            f"engine must be 'batched' or 'reference', got {self.engine!r}",
         )
         if self.window is not None and self.window < 0:
             raise ValueError(f"window must be >= 0, got {self.window}")
@@ -216,7 +208,7 @@ class FleetConfig:
             k_min, k_max = 1, self.wds_per_tile
         else:
             k_min, k_max = self.k_min, self.k_max
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             num_scns=self.scns_per_tile,
             capacity=self.capacity,
             alpha=self.alpha,
@@ -236,7 +228,6 @@ class FleetConfig:
             oracle_cache=False,
             shared_window=False,
         )
-        return cfg.with_lfsc_overrides(engine=self.engine)
 
 
 def partition_tiles(num_tiles: int, shards: int) -> tuple[tuple[int, ...], ...]:

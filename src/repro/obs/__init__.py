@@ -10,7 +10,7 @@ The subsystem any long-horizon online-learning stack needs before scaling:
   git SHA, host, versions) for every replication/figure/bench artifact;
 - :mod:`repro.obs.runtime` — the activation switch; everything is a no-op
   until :func:`observe` installs a context (or ``REPRO_TRACE_DIR`` is set),
-  preserving the batched engine's hot-path speed when tracing is off.
+  preserving the slot kernel's hot-path speed when tracing is off.
 
 Span timing builds on the monotonic primitives of
 :mod:`repro.utils.timing` (re-exported here), never on wall-clock deltas.

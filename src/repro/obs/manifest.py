@@ -2,7 +2,7 @@
 
 Every replication, figure, and bench run can write a ``manifest.json``
 capturing the full provenance needed to reproduce (or distrust) the output:
-the experiment config, the seeds, the engine, the repo's git SHA and dirty
+the experiment config, the seeds, the policies, the repo's git SHA and dirty
 flag, the host, and the library versions.  ``BENCH_*.json`` files embed the
 same dict under a ``"manifest"`` key instead of ad-hoc host notes.
 
@@ -88,7 +88,6 @@ def build_manifest(
     config: Any = None,
     seeds: Sequence[int] | None = None,
     policies: Sequence[str] | None = None,
-    engine: str | None = None,
     extra: Mapping[str, Any] | None = None,
 ) -> dict:
     """Assemble the provenance dict for one run.
@@ -100,8 +99,8 @@ def build_manifest(
         ``"bench"``, ``"cli"`` … (free-form, for humans and summaries).
     config:
         The experiment config (dataclasses serialize field-by-field).
-    seeds / policies / engine:
-        The run's seed list, policy line-up, and slot engine, when known.
+    seeds / policies:
+        The run's seed list and policy line-up, when known.
     extra:
         Arbitrary additional JSON-serializable context.
     """
@@ -133,7 +132,6 @@ def build_manifest(
         "config": _jsonable(config) if config is not None else None,
         "seeds": [int(s) for s in seeds] if seeds is not None else None,
         "policies": list(policies) if policies is not None else None,
-        "engine": engine,
         "scenario": _scenario_block(config),
     }
     if extra:

@@ -1,6 +1,6 @@
 """Observability activation: one optional, process-local context.
 
-The hot paths (simulator loop, LFSC engines) ask :func:`active` for the
+The hot paths (simulator loop, LFSC slot kernel) ask :func:`active` for the
 current :class:`ObsContext` once per call and take a branch-free fast path
 when it is ``None`` — the default.  With no context installed the *only*
 cost the subsystem adds to a simulation is that lookup plus a handful of

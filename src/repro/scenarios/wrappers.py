@@ -3,8 +3,8 @@
 A :class:`PolicyWrapper` is transparent to the simulation driver: it keeps
 the wrapped policy's ``name`` (so the frozen stream contract derives the
 same policy RNG with or without the wrapper) and delegates every attribute
-it does not override — ``config``/``engine`` (window eligibility),
-``context_partition`` (windowed classification), ``multipliers`` (trace
+it does not override — ``config``, ``context_partition`` (window
+eligibility and windowed classification), ``multipliers`` (trace
 duals), ``attach_solver_cache``, ``t``, ``checkpoint_state`` — to the base
 policy.  Subclasses intercept only the ``select``/``update`` surface.
 """

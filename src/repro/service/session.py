@@ -136,6 +136,24 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _lfsc_from_dict(doc: Mapping) -> LFSCConfig:
+    """Rebuild the ``lfsc`` block, failing closed on anything it cannot use.
+
+    Older checkpoints carry the retired slot-engine choice (``"engine"``);
+    both of its values ran the same bit-identical trajectory, so either one
+    is dropped and the run resumes unchanged.
+    """
+    try:
+        lfsc = dict(doc)
+        engine = lfsc.pop("engine", "batched")
+        if engine not in ("batched", "reference"):
+            raise CheckpointFormatError(f"config.lfsc has unknown engine {engine!r}")
+        lfsc["partition"] = _partition_from_dict(lfsc["partition"])
+        return LFSCConfig(**lfsc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"config.lfsc does not validate: {exc!r}") from exc
+
+
 def config_from_dict(doc: Mapping) -> ExperimentConfig:
     """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict` output."""
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -148,12 +166,7 @@ def config_from_dict(doc: Mapping) -> ExperimentConfig:
     kwargs: dict = {}
     for name, value in doc.items():
         if name == "lfsc":
-            if value is None:
-                kwargs[name] = None
-            else:
-                lfsc = dict(value)
-                lfsc["partition"] = _partition_from_dict(lfsc["partition"])
-                kwargs[name] = LFSCConfig(**lfsc)
+            kwargs[name] = None if value is None else _lfsc_from_dict(value)
         elif name == "scenario":
             kwargs[name] = None if value is None else ScenarioSpec.from_dict(value)
         elif name in _TUPLE_FIELDS:
@@ -407,7 +420,6 @@ class OnlineSession:
             channel_scalars, channel_arrays = _split_state(channel_state_fn())
         cursor = getattr(self.workload, "cursor", None)
         kernel = self._kernel
-        engine = getattr(getattr(self.policy, "config", None), "engine", None)
         header = {
             "kind": "session",
             "config": config_to_dict(self.config),
@@ -432,7 +444,6 @@ class OnlineSession:
                 kind="checkpoint",
                 config=self.config,
                 policies=[self.policy_name],
-                engine=engine,
                 extra={"t": int(self.t), "horizon": int(self.horizon)},
             ),
         }
@@ -562,7 +573,6 @@ def describe_checkpoint(path: str | Path) -> dict:
         "scenario": header.get("scenario"),
         "seed": cfg.get("seed"),
         "num_scns": cfg.get("num_scns"),
-        "engine": (header.get("manifest") or {}).get("engine"),
         "arrays": {
             name: {"dtype": str(arr.dtype), "shape": list(arr.shape)}
             for name, arr in sorted(arrays.items())

@@ -1,11 +1,11 @@
-"""Full-run equivalence of the batched and reference LFSC slot engines.
+"""Full-run equivalence of LFSC's batched slot kernel and the per-SCN oracle.
 
-The batched flat edge-list engine (``LFSCConfig.engine="batched"``) must be
-indistinguishable from the per-SCN reference loop: bit-identical assignments,
-weight trajectories, multipliers, and statistics under the same seed, in both
-assignment modes.  The batched kernels match the reference arithmetic to the
-last ulp and consume the policy RNG in the same order, so the comparison is
-``array_equal``, not ``allclose``.
+The flat edge-list kernel of :class:`LFSCPolicy` must be indistinguishable
+from the per-SCN loop of ``tests/core/reference_lfsc.py``: bit-identical
+assignments, weight trajectories, multipliers, and statistics under the same
+seed, in both assignment modes.  The batched kernels match the per-SCN
+arithmetic to the last ulp and consume the policy RNG in the same order, so
+the comparison is ``array_equal``, not ``allclose``.
 """
 
 import numpy as np
@@ -13,19 +13,27 @@ import pytest
 
 from repro.baselines.priority import PriorityAwareLFSC
 from repro.core.adaptive import AdaptiveLFSCPolicy
+from repro.core.config import LFSCConfig
 from repro.core.lfsc import LFSCPolicy
 from repro.experiments.runner import ExperimentConfig, build_simulation
+from tests.core.reference_lfsc import (
+    ReferenceAdaptiveLFSC,
+    ReferenceLFSCPolicy,
+    ReferencePriorityLFSC,
+)
 
 
-def run_both_engines(exp, mode, policy_factory=LFSCPolicy):
-    out = {}
-    for engine in ("reference", "batched"):
+def run_oracle_and_kernel(
+    exp, mode, oracle_cls=ReferenceLFSCPolicy, kernel_cls=LFSCPolicy, **overrides
+):
+    """(oracle, kernel) runs on the same seed; the oracle runs per slot."""
+    cfg = exp.lfsc_config().with_overrides(assignment_mode=mode, **overrides)
+    out = []
+    for cls, window in ((oracle_cls, 0), (kernel_cls, None)):
         sim = build_simulation(exp)
-        cfg = exp.lfsc_config().with_overrides(assignment_mode=mode, engine=engine)
-        policy = policy_factory(cfg)
-        result = sim.run(policy, exp.horizon)
-        out[engine] = (result, policy)
-    return out["reference"], out["batched"]
+        policy = cls(cfg)
+        out.append((sim.run(policy, exp.horizon, window=window), policy))
+    return out
 
 
 def assert_identical(ref, batched):
@@ -50,43 +58,43 @@ def assert_identical(ref, batched):
 class TestEngineEquivalence:
     @pytest.mark.parametrize("mode", ["deterministic", "depround"])
     def test_tiny_run_identical(self, mode):
-        assert_identical(*run_both_engines(ExperimentConfig.tiny(), mode))
+        assert_identical(*run_oracle_and_kernel(ExperimentConfig.tiny(), mode))
 
     @pytest.mark.parametrize("mode", ["deterministic", "depround"])
     def test_small_run_identical(self, mode):
-        assert_identical(*run_both_engines(ExperimentConfig.small(), mode))
+        assert_identical(*run_oracle_and_kernel(ExperimentConfig.small(), mode))
 
     def test_seed_sweep_depround(self):
         # The depround sampler is the RNG-heaviest path; sweep seeds to catch
-        # any stream divergence between the engines.
+        # any stream divergence between the oracle and the kernel.
         base = ExperimentConfig.tiny()
         for seed in (1, 2, 3):
             exp = base.with_overrides(seed=seed)
-            assert_identical(*run_both_engines(exp, "depround"))
+            assert_identical(*run_oracle_and_kernel(exp, "depround"))
 
     def test_adaptive_subclass_identical(self):
         assert_identical(
-            *run_both_engines(ExperimentConfig.tiny(), "depround", AdaptiveLFSCPolicy)
+            *run_oracle_and_kernel(
+                ExperimentConfig.tiny(), "depround", ReferenceAdaptiveLFSC, AdaptiveLFSCPolicy
+            )
         )
 
     def test_priority_subclass_identical(self):
         assert_identical(
-            *run_both_engines(ExperimentConfig.tiny(), "depround", PriorityAwareLFSC)
+            *run_oracle_and_kernel(
+                ExperimentConfig.tiny(), "depround", ReferencePriorityLFSC, PriorityAwareLFSC
+            )
         )
 
     def test_no_lagrangian_identical(self):
-        exp = ExperimentConfig.tiny()
-        out = {}
-        for engine in ("reference", "batched"):
-            sim = build_simulation(exp)
-            cfg = exp.lfsc_config().with_overrides(engine=engine, use_lagrangian=False)
-            policy = LFSCPolicy(cfg)
-            out[engine] = (sim.run(policy, exp.horizon), policy)
-        assert_identical(out["reference"], out["batched"])
+        assert_identical(
+            *run_oracle_and_kernel(ExperimentConfig.tiny(), "depround", use_lagrangian=False)
+        )
 
-    def test_engine_field_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            ExperimentConfig.tiny().lfsc_config().with_overrides(engine="turbo")
+    def test_engine_is_not_a_config_field(self):
+        # One production slot body: the per-SCN loop is a test oracle only.
+        with pytest.raises(TypeError, match="engine"):
+            LFSCConfig(engine="reference")
 
     def test_batched_cache_exposes_reference_views(self):
         # Diagnostics and subclasses read coverage/cubes/probs off the slot

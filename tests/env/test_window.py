@@ -3,8 +3,8 @@
 The acceptance bar for the windowed pipeline (PR 4): for every window size —
 including W=1, a W that does not divide the horizon, and a W larger than the
 horizon — running the simulation with ``window=W`` must produce byte-for-byte
-the same trajectory as ``window=0`` (the per-slot driver), for both slot
-engines and both assignment modes.  The window precompute consumes the
+the same trajectory as ``window=0`` (the per-slot driver), in both
+assignment modes.  The window precompute consumes the
 workload RNG in exactly the per-slot order (``sample_slots``), and every
 derived structure (edge lists, hypercube indices, truth cells) is pure
 bookkeeping, so any divergence here means the streaming layer leaked into
@@ -32,9 +32,9 @@ def _cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig.tiny(horizon=HORIZON, **overrides)
 
 
-def _run(cfg: ExperimentConfig, mode: str, engine: str, window: int):
+def _run(cfg: ExperimentConfig, mode: str, window: int):
     sim = build_simulation(cfg)
-    lfsc = cfg.lfsc_config().with_overrides(assignment_mode=mode, engine=engine)
+    lfsc = cfg.lfsc_config().with_overrides(assignment_mode=mode)
     return sim.run(LFSCPolicy(lfsc), cfg.horizon, window=window)
 
 
@@ -49,18 +49,20 @@ def _assert_identical(a, b) -> None:
 
 
 class TestWindowedEquivalence:
-    @pytest.mark.parametrize("engine", ["batched", "reference"])
-    @pytest.mark.parametrize("mode", ["deterministic", "depround"])
+    # The ids keep the "-batched" suffix of the retired slot-engine axis.
+    @pytest.mark.parametrize(
+        "mode", ["deterministic", "depround"], ids=lambda mode: f"{mode}-batched"
+    )
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_bit_identical_to_per_slot(self, engine, mode, window):
+    def test_bit_identical_to_per_slot(self, mode, window):
         cfg = _cfg()
-        per_slot = _run(cfg, mode, engine, window=0)
-        windowed = _run(cfg, mode, engine, window=window)
+        per_slot = _run(cfg, mode, window=0)
+        windowed = _run(cfg, mode, window=window)
         _assert_identical(per_slot, windowed)
 
     def test_default_window_matches_per_slot(self):
         cfg = _cfg()
-        per_slot = _run(cfg, "depround", "batched", window=0)
+        per_slot = _run(cfg, "depround", window=0)
         sim = build_simulation(cfg)
         default = sim.run(LFSCPolicy(cfg.lfsc_config()), cfg.horizon)  # window=None
         _assert_identical(per_slot, default)
@@ -69,8 +71,8 @@ class TestWindowedEquivalence:
         # horizon=10, W=7: the second window must clamp to 3 slots.
         cfg = ExperimentConfig.tiny(horizon=10)
         _assert_identical(
-            _run(cfg, "depround", "batched", window=0),
-            _run(cfg, "depround", "batched", window=7),
+            _run(cfg, "depround", window=0),
+            _run(cfg, "depround", window=7),
         )
 
     def test_adaptive_partition_stays_identical(self):
@@ -166,14 +168,10 @@ class TestEffectiveWindow:
     def test_eligibility(self):
         cfg = _cfg()
         sim = build_simulation(cfg)
-        batched = LFSCPolicy(cfg.lfsc_config().with_overrides(engine="batched"))
-        reference = LFSCPolicy(cfg.lfsc_config().with_overrides(engine="reference"))
-        def size(policy, window):
+        policy = LFSCPolicy(cfg.lfsc_config())
+        def size(window):
             return effective_window(sim.workload, policy, window)[0]
 
-        assert size(batched, None) == DEFAULT_WINDOW
-        assert size(batched, 5) == 5
-        assert size(batched, 0) == 0
-        # The reference engine has no windowed path.
-        assert size(reference, None) == 0
-        assert size(reference, 5) == 0
+        assert size(None) == DEFAULT_WINDOW
+        assert size(5) == 5
+        assert size(0) == 0

@@ -231,7 +231,7 @@ class TestObservabilityCommands:
         manifest = json.loads((mdir / "manifest.json").read_text())
         assert manifest["kind"] == "replication"
         assert len(manifest["seeds"]) == 2
-        assert manifest["engine"] in ("batched", "reference")
+        assert manifest["policies"] == ["Random"]
 
     def test_traced_run_matches_untraced(self, capsys, tmp_path):
         # The CLI trace path must not perturb results (bit-identity).
@@ -252,7 +252,7 @@ class TestUnifiedOptions:
         parser = build_parser()
         for command in self.RUN_COMMANDS:
             args = parser.parse_args([command])
-            for dest in ("window", "engine", "transport", "trace",
+            for dest in ("window", "transport", "trace",
                          "trace_sample", "manifest_dir", "no_oracle_cache"):
                 assert hasattr(args, dest), f"{command} lacks --{dest}"
 
@@ -260,11 +260,16 @@ class TestUnifiedOptions:
         args = build_parser().parse_args(["trace", "x.jsonl"])
         assert not hasattr(args, "window")
 
-    def test_engine_flows_into_config(self):
-        from repro.cli import _config_from_args
-
-        args = build_parser().parse_args(["run", "--engine", "reference"])
-        assert _config_from_args(args).lfsc_config().engine == "reference"
+    def test_engine_flag_is_gone(self, capsys):
+        # LFSC has one slot engine; the retired flag is a usage error.
+        for command in ("run", "fleet"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--engine", "batched"])
+            assert exc.value.code == 2, command
+            assert "--engine" in capsys.readouterr().err
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "--engine" not in capsys.readouterr().out
 
     def test_no_oracle_cache_flows_into_config(self):
         from repro.cli import _config_from_args

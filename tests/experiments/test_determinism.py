@@ -2,8 +2,8 @@
 
 ``run_replications(workers=0)`` (parallel by default) must produce
 bit-identical per-seed ``SimulationResult`` arrays to ``workers=1`` (serial)
-and to any explicit pool size, for both LFSC slot engines and both
-assignment modes, and for the baseline policies.  CI runs this suite with
+and to any explicit pool size, for LFSC in both assignment modes, and for
+the baseline policies.  CI runs this suite with
 ``REPRO_TEST_WORKERS=2`` so the pool path is exercised even where
 ``workers=0`` falls back to serial (single-core runners).
 """
@@ -54,23 +54,25 @@ def assert_runs_identical(a, b) -> None:
                 )
 
 
-def _engine_cfg(engine: str, mode: str) -> ExperimentConfig:
-    return CFG.with_lfsc_overrides(engine=engine, assignment_mode=mode)
+def _mode_cfg(mode: str) -> ExperimentConfig:
+    return CFG.with_lfsc_overrides(assignment_mode=mode)
 
 
-@pytest.mark.parametrize("engine", ("batched", "reference"))
-@pytest.mark.parametrize("mode", ("deterministic", "depround"))
+# The ids keep the "-batched" suffix of the retired slot-engine axis.
+@pytest.mark.parametrize(
+    "mode", ("deterministic", "depround"), ids=lambda mode: f"{mode}-batched"
+)
 class TestLFSCEngineEquivalence:
-    def test_default_parallel_equals_serial(self, engine, mode):
-        cfg = _engine_cfg(engine, mode)
+    def test_default_parallel_equals_serial(self, mode):
+        cfg = _mode_cfg(mode)
         parallel = run_replications(cfg, ("LFSC",), seeds=3, workers=0)
         serial = run_replications(cfg, ("LFSC",), seeds=3, workers=1)
         assert_runs_identical(parallel, serial)
 
-    def test_forced_pool_equals_serial(self, engine, mode):
+    def test_forced_pool_equals_serial(self, mode):
         # Explicit n >= 2 always uses a real process pool, so this leg
         # proves cross-process determinism even on single-core hosts.
-        cfg = _engine_cfg(engine, mode)
+        cfg = _mode_cfg(mode)
         pooled = run_replications(cfg, ("LFSC",), seeds=3, workers=POOL_WORKERS)
         serial = run_replications(cfg, ("LFSC",), seeds=3, workers=1)
         assert_runs_identical(pooled, serial)

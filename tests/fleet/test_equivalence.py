@@ -3,15 +3,17 @@
 Per-tile trajectories are pure functions of ``(FleetConfig, tile)`` — the
 shard count, execution mode, and slot-streaming window only change *who*
 steps a tile and in what batches, never what it computes.  These tests pin
-that across shard counts {1, 2, 4}, both slot engines, windowed and
-per-slot streaming, serial and process modes, and the sampler fast path.
+that across shard counts {1, 2, 4}, windowed and per-slot streaming, serial
+and process modes, and the sampler fast path.
 """
 
 import numpy as np
 import pytest
 
+import repro.fleet.tile as fleet_tile
 from repro.fleet import FleetConfig, fleet_series_equal, run_fleet
 from repro.utils.parallel import process_pool_supported
+from tests.core.reference_lfsc import ReferenceLFSCPolicy
 
 needs_procs = pytest.mark.skipif(
     not process_pool_supported(), reason="no process pools on host"
@@ -34,17 +36,15 @@ def _cfg(**overrides):
 
 
 class TestShardInvariance:
-    @pytest.mark.parametrize("engine", ["batched", "reference"])
-    @pytest.mark.parametrize("window", [None, 8, 0])
-    def test_shard_counts_bit_identical(self, engine, window):
-        cfg = _cfg(engine=engine, window=window)
+    # The ids keep the "-batched" suffix of the retired slot-engine axis.
+    @pytest.mark.parametrize("window", [None, 8, 0], ids=lambda w: f"{w}-batched")
+    def test_shard_counts_bit_identical(self, window):
+        cfg = _cfg(window=window)
         ref = run_fleet(cfg, shards=1, mode="serial")
         for shards in (2, 4):
             res = run_fleet(cfg, shards=shards, mode="serial")
             assert res.shards == shards
-            assert fleet_series_equal(res, ref), (
-                f"engine={engine} window={window} shards={shards}"
-            )
+            assert fleet_series_equal(res, ref), f"window={window} shards={shards}"
 
     def test_mobility_run_actually_migrates(self):
         res = run_fleet(_cfg(), shards=2, mode="serial")
@@ -68,10 +68,17 @@ class TestShardInvariance:
         assert [len(g) for g in res.groups] == [2, 1]
         assert fleet_series_equal(res, ref)
 
-    def test_engines_agree_on_trajectory(self):
-        """The two slot engines are themselves equivalent per tile."""
-        a = run_fleet(_cfg(engine="batched", window=0), shards=1, mode="serial")
-        b = run_fleet(_cfg(engine="reference"), shards=1, mode="serial")
+    def test_engines_agree_on_trajectory(self, monkeypatch):
+        """The per-SCN oracle walks every tile's trajectory bit for bit."""
+        # Capacity below the coverage so DepRound samples and weights move.
+        cfg = _cfg(window=0, capacity=2, alpha=1.5, beta=2.7)
+        a = run_fleet(cfg, shards=1, mode="serial")
+        monkeypatch.setattr(
+            fleet_tile,
+            "make_policy",
+            lambda name, tile_cfg, truth: ReferenceLFSCPolicy(tile_cfg.lfsc_config()),
+        )
+        b = run_fleet(cfg, shards=1, mode="serial")
         assert fleet_series_equal(a, b)
 
 

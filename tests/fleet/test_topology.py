@@ -86,10 +86,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="coverage"):
             FleetConfig(coverage="teleport")
 
-    def test_bad_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            FleetConfig(engine="warp")
-
     def test_negative_window(self):
         with pytest.raises(ValueError, match="window"):
             FleetConfig(window=-1)
@@ -126,10 +122,6 @@ class TestTileConfig:
         tc = FleetConfig().tile_config(0)
         assert tc.oracle_cache is False
         assert tc.shared_window is False
-
-    def test_engine_override_propagates(self):
-        tc = FleetConfig(engine="reference").tile_config(0)
-        assert tc.lfsc.engine == "reference"
 
     def test_pure_function_of_config_and_tile(self):
         cfg = FleetConfig()

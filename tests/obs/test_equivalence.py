@@ -1,7 +1,7 @@
 """Tracing is observational: bit-identical trajectories with obs on or off.
 
-The acceptance bar for the observability subsystem — for *both* slot
-engines, running under a full tracing context (metrics registry + JSONL
+The acceptance bar for the observability subsystem — running LFSC under a
+full tracing context (metrics registry + JSONL
 recorder, sample_every=1) must produce byte-for-byte the same rewards,
 violations, assignments, weight trajectories, and multipliers as running
 with no context installed.  Any divergence means instrumentation touched a
@@ -19,9 +19,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import read_trace
 
 
-def _run(exp, engine, trace_path=None):
+def _run(exp, trace_path=None):
     sim = build_simulation(exp)
-    policy = LFSCPolicy(exp.lfsc_config().with_overrides(engine=engine))
+    policy = LFSCPolicy(exp.lfsc_config())
     if trace_path is None:
         result = sim.run(policy, exp.horizon)
     else:
@@ -54,19 +54,17 @@ def _assert_bit_identical(plain, traced):
 
 
 class TestTracingEquivalence:
-    @pytest.mark.parametrize("engine", ["reference", "batched"])
-    def test_trace_on_off_identical(self, engine, tmp_path):
+    def test_trace_on_off_identical(self, tmp_path):
         exp = ExperimentConfig.tiny()
-        plain = _run(exp, engine)
-        traced = _run(exp, engine, trace_path=tmp_path / f"{engine}.jsonl")
+        plain = _run(exp)
+        traced = _run(exp, trace_path=tmp_path / "t.jsonl")
         _assert_bit_identical(plain, traced)
 
-    @pytest.mark.parametrize("engine", ["reference", "batched"])
-    def test_trace_records_match_simulation(self, engine, tmp_path):
+    def test_trace_records_match_simulation(self, tmp_path):
         """The trace is a faithful per-slot account of the run it recorded."""
         exp = ExperimentConfig.tiny()
         path = tmp_path / "t.jsonl"
-        result, _ = _run(exp, engine, trace_path=path)
+        result, _ = _run(exp, trace_path=path)
         records = read_trace(path)
         assert len(records) == exp.horizon
         assert [r["t"] for r in records] == list(range(exp.horizon))
@@ -82,14 +80,14 @@ class TestTracingEquivalence:
         base = ExperimentConfig.tiny()
         for seed in (1, 2, 3):
             exp = base.with_overrides(seed=seed)
-            plain = _run(exp, "batched")
-            traced = _run(exp, "batched", trace_path=tmp_path / f"s{seed}.jsonl")
+            plain = _run(exp)
+            traced = _run(exp, trace_path=tmp_path / f"s{seed}.jsonl")
             _assert_bit_identical(plain, traced)
 
     def test_metrics_only_context_identical(self):
         """The bench's 'tracing disabled' state: context with no recorder."""
         exp = ExperimentConfig.tiny()
-        plain = _run(exp, "batched")
+        plain = _run(exp)
         sim = build_simulation(exp)
         policy = LFSCPolicy(exp.lfsc_config())
         with observe(registry=MetricsRegistry()):

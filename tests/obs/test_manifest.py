@@ -24,7 +24,6 @@ REQUIRED_KEYS = {
     "config",
     "seeds",
     "policies",
-    "engine",
 }
 
 
@@ -47,7 +46,6 @@ class TestBuildManifest:
             config=_FakeConfig(),
             seeds=np.arange(3),
             policies=("LFSC",),
-            engine="batched",
             extra={"array": np.ones(2), "obj": object()},
         )
         text = json.dumps(m)  # must not raise
@@ -85,10 +83,10 @@ class TestWriteLoad:
 
     def test_explicit_file_target(self, tmp_path):
         target = tmp_path / "custom.manifest.json"
-        write_manifest(target, kind="figure", engine="reference")
+        write_manifest(target, kind="figure", policies=["LFSC"])
         loaded = load_manifest(target)
         assert loaded["kind"] == "figure"
-        assert loaded["engine"] == "reference"
+        assert loaded["policies"] == ["LFSC"]
 
     def test_prebuilt_manifest_written_verbatim(self, tmp_path):
         m = build_manifest(kind="replication", seeds=[4, 5])

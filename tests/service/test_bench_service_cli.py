@@ -1,4 +1,4 @@
-"""``benchmarks/bench_service.py`` fails closed on a non-positive horizon."""
+"""The benchmark CLIs fail closed on a non-positive horizon."""
 
 from __future__ import annotations
 
@@ -9,14 +9,32 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_service.py"
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
-@pytest.mark.parametrize("argv", [["--horizon", "0"], ["--smoke", "--horizon", "-1"]])
-def test_non_positive_horizon_is_rejected(argv, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(BENCH.parents[1] / "src"))
+SCRIPTS = (
+    "bench_service.py",
+    "bench_slot_engine.py",
+    "bench_obs_overhead.py",
+    "bench_window.py",
+    "bench_replication_parallel.py",
+)
+ARGVS = (["--horizon", "0"], ["--smoke", "--horizon", "-1"])
+
+
+def _case(script, i):
+    # bench_service.py's cases keep their original "argv<i>" ids.
+    name = f"argv{i}" if script == "bench_service.py" else f"{script[:-3]}-argv{i}"
+    return pytest.param(script, ARGVS[i], id=name)
+
+
+@pytest.mark.parametrize(
+    "script,argv", [_case(script, i) for script in SCRIPTS for i in range(len(ARGVS))]
+)
+def test_non_positive_horizon_is_rejected(script, argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(BENCHMARKS.parent / "src"))
     proc = subprocess.run(
-        [sys.executable, str(BENCH), *argv, "--output", str(tmp_path / "out.json")],
+        [sys.executable, str(BENCHMARKS / script), *argv, "--output", str(tmp_path / "out.json")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2

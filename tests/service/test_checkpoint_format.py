@@ -206,3 +206,53 @@ def test_corrupted_real_checkpoint_refuses_resume(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
         OnlineSession.from_checkpoint(path)
+
+
+# -- the config's lfsc block fails closed -----------------------------------
+
+
+def _set(key, value):
+    def mutate(lfsc):
+        lfsc[key] = value
+
+    return mutate
+
+
+def _drop(key):
+    def mutate(lfsc):
+        del lfsc[key]
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, rejected",
+    [
+        pytest.param(_set("turbo", True), True, id="unknown-key"),
+        pytest.param(_set("gamma", 5.0), True, id="bad-value"),
+        pytest.param(_drop("partition"), True, id="missing-partition"),
+        pytest.param(_set("engine", "warp"), True, id="unknown-engine"),
+        # Checkpoints written while LFSC still had a slot-engine option;
+        # both engines ran the same trajectory.
+        pytest.param(_set("engine", "batched"), False, id="legacy-engine-batched"),
+        pytest.param(_set("engine", "reference"), False, id="legacy-engine-reference"),
+    ],
+)
+def test_lfsc_block_fails_closed(mutate, rejected, tmp_path):
+    cfg = ExperimentConfig.tiny(horizon=8).with_lfsc_overrides(assignment_mode="depround")
+    session = OnlineSession(cfg)
+    session.run(4)
+    path = session.save(tmp_path / "ck.bin")
+    header, arrays = read_checkpoint(path)
+    mutate(header["config"]["lfsc"])
+    write_checkpoint(path, header, arrays)
+
+    if rejected:
+        with pytest.raises(CheckpointFormatError, match="lfsc"):
+            OnlineSession.from_checkpoint(path)
+        return
+    straight = OnlineSession(cfg).run()
+    resumed = OnlineSession.from_checkpoint(path).run()
+    for name in ("reward", "expected_reward", "accepted", "violation_qos", "violation_resource"):
+        assert np.array_equal(getattr(straight.result(), name), getattr(resumed.result(), name))
+    assert np.array_equal(straight.policy.log_w, resumed.policy.log_w)

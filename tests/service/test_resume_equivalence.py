@@ -1,7 +1,6 @@
 """Resume equivalence: checkpoint/restore is bit-identical to never stopping.
 
-The PR's acceptance gate.  For both LFSC engines × both assignment modes ×
-fixed/adaptive partitions × checkpoint slots k ∈ {0, 1, mid, last}: run a
+For both assignment modes × fixed/adaptive partitions × checkpoint slots k ∈ {0, 1, mid, last}: run a
 session to slot k, snapshot, restore (same process here; a fresh process in
 ``test_fresh_process_resume``), drive both to the horizon, and require every
 recorded series and the final policy state to match bit for bit.
@@ -39,11 +38,9 @@ SERIES = (
 )
 
 
-def make_config(engine: str, mode: str, adaptive: bool) -> ExperimentConfig:
+def make_config(mode: str, adaptive: bool) -> ExperimentConfig:
     """One config per arm: adaptive partitions are stateful, never shared."""
-    cfg = ExperimentConfig.tiny(horizon=HORIZON).with_lfsc_overrides(
-        engine=engine, assignment_mode=mode
-    )
+    cfg = ExperimentConfig.tiny(horizon=HORIZON).with_lfsc_overrides(assignment_mode=mode)
     if adaptive:
         # Small tree + low threshold so splits actually happen within the
         # 24-slot horizon — the checkpoint must carry a *refined* tree.
@@ -63,25 +60,29 @@ def assert_results_equal(a, b) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def _arm(mode: str, adaptive: bool):
+    # The id keeps the "batched-" prefix of the retired slot-engine axis.
+    return pytest.param(mode, adaptive, id=f"batched-{mode}-{adaptive}")
+
+
 ARMS = [
-    (engine, mode, adaptive)
-    for engine in ("batched", "reference")
+    _arm(mode, adaptive)
     for mode in ("depround", "deterministic")
     for adaptive in (False, True)
 ]
 
 
-@pytest.mark.parametrize("engine,mode,adaptive", ARMS)
+@pytest.mark.parametrize("mode,adaptive", ARMS)
 @pytest.mark.parametrize("k", [0, 1, HORIZON // 2, HORIZON])
-def test_resume_is_bit_identical(engine, mode, adaptive, k, tmp_path):
+def test_resume_is_bit_identical(mode, adaptive, k, tmp_path):
     """Checkpoint at slot k + restore ≡ an uninterrupted run, bitwise."""
     name = policy_name(adaptive)
-    baseline = OnlineSession(make_config(engine, mode, adaptive), policy=name)
+    baseline = OnlineSession(make_config(mode, adaptive), policy=name)
     baseline.run()
 
-    first = OnlineSession(make_config(engine, mode, adaptive), policy=name)
+    first = OnlineSession(make_config(mode, adaptive), policy=name)
     first.run(k)
-    path = first.save(tmp_path / f"ck_{engine}_{mode}_{adaptive}_{k}.bin")
+    path = first.save(tmp_path / f"ck_{mode}_{adaptive}_{k}.bin")
 
     resumed = OnlineSession.from_checkpoint(path)
     assert resumed.t == k
@@ -99,10 +100,10 @@ def test_resume_is_bit_identical(engine, mode, adaptive, k, tmp_path):
             assert value == res_state[key], key
 
 
-@pytest.mark.parametrize("engine,mode,adaptive", ARMS)
-def test_session_matches_batch_simulator(engine, mode, adaptive):
+@pytest.mark.parametrize("mode,adaptive", ARMS)
+def test_session_matches_batch_simulator(mode, adaptive):
     """The session's slot arithmetic is the simulator's per-slot path."""
-    cfg = make_config(engine, mode, adaptive)
+    cfg = make_config(mode, adaptive)
     sim = build_simulation(cfg)
     if adaptive:
         from repro.core.adaptive import AdaptiveLFSCPolicy
@@ -112,7 +113,7 @@ def test_session_matches_batch_simulator(engine, mode, adaptive):
         policy = make_policy("LFSC", cfg, sim.truth)
     ref = sim.run(policy, cfg.horizon, window=0)
 
-    session = OnlineSession(make_config(engine, mode, adaptive), policy=policy_name(adaptive))
+    session = OnlineSession(make_config(mode, adaptive), policy=policy_name(adaptive))
     assert_results_equal(ref, session.run().result())
 
 
@@ -135,29 +136,27 @@ np.savez(
 )
 """
 
-# One arm per engine×mode at the midpoint, plus one adaptive arm: fresh-
-# process restores are the expensive leg, in-process coverage is exhaustive
-# above.
+# One arm per mode at the midpoint, plus one adaptive arm: fresh-process
+# restores are the expensive leg, in-process coverage is exhaustive above.
 FRESH_ARMS = [
-    ("batched", "depround", False),
-    ("batched", "deterministic", False),
-    ("reference", "depround", False),
-    ("batched", "depround", True),
+    _arm("depround", False),
+    _arm("deterministic", False),
+    _arm("depround", True),
 ]
 
 
-@pytest.mark.parametrize("engine,mode,adaptive", FRESH_ARMS)
-def test_fresh_process_resume(engine, mode, adaptive, tmp_path):
+@pytest.mark.parametrize("mode,adaptive", FRESH_ARMS)
+def test_fresh_process_resume(mode, adaptive, tmp_path):
     """Restoring in a brand-new interpreter reproduces the same bits.
 
     This is the daemon-crash story: nothing of the original process
     survives except the checkpoint file.
     """
     name = policy_name(adaptive)
-    baseline = OnlineSession(make_config(engine, mode, adaptive), policy=name)
+    baseline = OnlineSession(make_config(mode, adaptive), policy=name)
     baseline.run()
 
-    first = OnlineSession(make_config(engine, mode, adaptive), policy=name)
+    first = OnlineSession(make_config(mode, adaptive), policy=name)
     first.run(HORIZON // 2)
     ckpt = first.save(tmp_path / "mid.ckpt")
 
@@ -178,7 +177,7 @@ def test_checkpoint_rejects_mid_slot(tmp_path):
     """Between decide() and feedback() there is no serializable state."""
     from repro.service import CheckpointError
 
-    session = OnlineSession(make_config("batched", "depround", False))
+    session = OnlineSession(make_config("depround", False))
     session.decide()
     with pytest.raises(CheckpointError, match="pending"):
         session.save(tmp_path / "nope.bin")

@@ -4,7 +4,7 @@
   edge list (classified for the policy's own partition) and the truth
   cells, for synthetic slots and for slots built from external arrivals.
 - Equivalence: paths that now share the kernel still match the per-slot
-  simulator and the per-SCN reference engine bit for bit — the adaptive
+  simulator and the per-SCN oracle bit for bit — the adaptive
   policy (classified at select time), the priority policy (its own
   ``_edge_scores`` hook, so the non-fused scoring loop), and sessions fed
   external arrivals.
@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.baselines.priority import PriorityAwareLFSC
 from repro.core.adaptive import AdaptivePartition
 from repro.experiments.runner import ExperimentConfig, build_simulation
 from repro.service import OnlineSession, build_slot
+from tests.core.reference_lfsc import ReferenceLFSCPolicy, ReferencePriorityLFSC
 
 SERIES = (
     "reward",
@@ -84,14 +86,6 @@ def test_external_decide_takes_the_kernel():
         session.feedback()
 
 
-def test_reference_engine_session_stays_per_slot():
-    cfg = ExperimentConfig.tiny(horizon=2).with_lfsc_overrides(engine="reference")
-    session = OnlineSession(cfg)
-    session.decide()
-    slot, _ = session._pending
-    assert getattr(slot, "edges", None) is None
-
-
 # -- equivalence ---------------------------------------------------------------
 
 
@@ -115,37 +109,37 @@ def test_adaptive_session_matches_per_slot_run(seed):
 
 @pytest.mark.parametrize("mode", ["depround", "deterministic"])
 def test_priority_policy_window_matches_per_slot(mode):
-    """The overridden ``_edge_scores`` hook: windowed ≡ per-slot ≡ reference."""
+    """The overridden ``_edge_scores`` hook: windowed ≡ per-slot ≡ the oracle."""
     cfg = ExperimentConfig.tiny(horizon=40, seed=3)
+    lfsc = cfg.lfsc_config().with_overrides(assignment_mode=mode)
     results = {}
-    for engine, window in (("batched", 32), ("batched", 0), ("reference", 0)):
-        lfsc = cfg.lfsc_config().with_overrides(engine=engine, assignment_mode=mode)
+    for arm, cls, window in (
+        ("batched", PriorityAwareLFSC, 32),
+        ("batched", PriorityAwareLFSC, 0),
+        ("reference", ReferencePriorityLFSC, 0),
+    ):
         sim = build_simulation(cfg)
-        results[engine, window] = sim.run(PriorityAwareLFSC(lfsc), cfg.horizon, window=window)
+        results[arm, window] = sim.run(cls(lfsc), cfg.horizon, window=window)
     assert_results_equal(results["batched", 0], results["batched", 32])
     assert_results_equal(results["reference", 0], results["batched", 0])
 
 
 @pytest.mark.parametrize("mode", ["depround", "deterministic"])
 def test_external_arrivals_match_reference_engine(mode):
-    """Batched sessions on external slots ≡ the per-SCN reference engine."""
-    sessions = {
-        engine: OnlineSession(
-            ExperimentConfig.tiny(horizon=30, seed=2).with_lfsc_overrides(
-                engine=engine, assignment_mode=mode
-            )
-        )
-        for engine in ("batched", "reference")
-    }
+    """Sessions on external slots ≡ the per-SCN oracle on the same slots."""
+    cfg = ExperimentConfig.tiny(horizon=30, seed=2).with_lfsc_overrides(assignment_mode=mode)
+    session = OnlineSession(cfg)
+    oracle = ReferenceLFSCPolicy(cfg.lfsc_config())
+    oracle.reset(session.network, session.horizon, copy.deepcopy(session.policy.rng))
     rng = np.random.default_rng(4)
     for _ in range(30):
-        slot = external_slot(sessions["batched"], rng)
-        picks = [sessions[e].decide(slot) for e in ("batched", "reference")]
+        slot = external_slot(session, rng)
+        picks = [session.decide(slot), oracle.select(slot)]
         assert np.array_equal(picks[0].scn, picks[1].scn)
         assert np.array_equal(picks[0].task, picks[1].task)
-        for session in sessions.values():
-            session.feedback()
-    assert_results_equal(sessions["reference"].result(), sessions["batched"].result())
-    np.testing.assert_array_equal(
-        sessions["reference"].policy.log_w, sessions["batched"].policy.log_w
-    )
+        oracle.update(slot, session.feedback())
+    policy = session.policy
+    np.testing.assert_array_equal(oracle.log_w, policy.log_w)
+    np.testing.assert_array_equal(oracle.multipliers.qos, policy.multipliers.qos)
+    np.testing.assert_array_equal(oracle.multipliers.resource, policy.multipliers.resource)
+    np.testing.assert_array_equal(oracle.stats.counts, policy.stats.counts)

@@ -83,7 +83,7 @@ class _EdgeArena:
 
     __slots__ = (
         "logs", "p", "wtilde", "scores", "scratch", "capped", "draws",
-        "mask", "walk_ids", "walk_vals",
+        "mask", "walk_ids", "walk_vals", "addr",
     )
 
     def __init__(self) -> None:
@@ -97,6 +97,7 @@ class _EdgeArena:
         self.mask = np.empty(0, dtype=np.uint8)
         self.walk_ids = np.empty(0, dtype=np.int64)
         self.walk_vals = np.empty(0)
+        self._index()
 
     def ensure(self, num_edges: int) -> None:
         if self.logs.shape[0] < num_edges:
@@ -112,6 +113,25 @@ class _EdgeArena:
             self.mask = np.empty(size, dtype=np.uint8)
             self.walk_ids = np.empty(size, dtype=np.int64)
             self.walk_vals = np.empty(size)
+            self._index()
+
+    def _index(self) -> None:
+        # Data addresses for the native kernels, taken once per growth:
+        # every slot passes these buffers, and looking a pointer up per
+        # argument costs more than passing the int (repro.core.native._ptr).
+        self.addr = {
+            name: getattr(self, name).ctypes.data
+            for name in ("p", "wtilde", "draws", "mask", "walk_ids", "walk_vals")
+        }
+
+    # A copy or unpickled arena owns new buffers: re-take their addresses.
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name != "addr"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._index()
 
 
 class _BatchedSlotCache:
@@ -294,8 +314,6 @@ class LFSCPolicy(OffloadingPolicy):
                 cfg.gamma,
                 lengths=pre.lengths,
                 lengths_f=pre.lengths_f,
-                bounds=pre.bounds,
-                seg_start=pre.seg_start,
                 edge_scn=pre.scn,
                 seg_len_edge=pre.seg_len_edge,
                 out_p=arena.p[:E],
@@ -393,9 +411,11 @@ class LFSCPolicy(OffloadingPolicy):
 
         mask = arena.mask[:E]
         mask[:] = 0
+        addr = arena.addr
         if not _native.walk_segments(
-            np.ascontiguousarray(p), offsets, buf, dep_start, p_lo, p_hi,
-            mask, arena.walk_ids, arena.walk_vals, _DR_TOL,
+            addr["p"] if p.base is arena.p else np.ascontiguousarray(p),
+            offsets, addr["draws"], dep_start, p_lo, p_hi, addr["mask"],
+            addr["walk_ids"], addr["walk_vals"], _DR_TOL,
         ):
             # Portable fallback: the same walks on presliced Python lists.
             vals = p.tolist()
@@ -537,7 +557,7 @@ class LFSCPolicy(OffloadingPolicy):
         flat = pre.flat
         sums = np.zeros(M * F)
         counts = np.zeros(M * F, dtype=np.int64)
-        if not _native.scatter_update(flat, util_hat, sums, counts):
+        if not _native.scatter_update(flat, self._arena.addr["wtilde"], sums, counts):
             sums = np.bincount(flat, weights=util_hat, minlength=M * F)
             counts = np.bincount(flat, minlength=M * F)
         present = np.flatnonzero(counts)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import native as _native
 from repro.utils.validation import check_positive, require
 
 __all__ = [
@@ -215,6 +216,60 @@ class CappedProbabilitiesBatch:
         )
 
 
+def _solve_caps(
+    w: np.ndarray,
+    offsets: np.ndarray,
+    segs: np.ndarray | None,
+    ratios: np.ndarray,
+    w_tilde: np.ndarray,
+    capped: np.ndarray,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """Alg. 2's per-segment cap solve; returns each segment's normalizing sum.
+
+    Segment ``m = segs[j]`` (``j`` when ``segs`` is None; every segment
+    longer than the capacity, hence at least 2 long) uses cap ratio
+    ``ratios[j]``.  When it needs capping, its capped entries of ``w_tilde``
+    (a copy of ``w`` on entry) become the threshold ê, those of ``capped``
+    (zeroed on entry) become True and ``thresholds[m] = ê``; the returned
+    ``denom[j]`` is ``np.sum`` of its w̃ — np.sum's pairwise summation
+    matches the per-SCN path bit for bit, which segment tricks like
+    reduceat would not.
+
+    The native kernel (:func:`repro.core.native.cap_segments`) performs
+    exactly these steps; this loop is its fallback.
+    """
+    denom = np.empty(ratios.shape[0])
+    if _native.cap_segments(
+        w, offsets, segs, ratios, w_tilde, capped, thresholds, denom
+    ):
+        return denom
+    bounds = offsets.tolist()
+    # Segment maxima are order-independent reductions, so one reduceat over
+    # the full edge list is exact; empty segments produce garbage lanes that
+    # no solved segment reads.
+    seg_max = np.maximum.reduceat(w, np.minimum(offsets[:-1], w.shape[0] - 1)).tolist()
+    ratio_l = ratios.tolist()
+    seg_l = range(len(ratio_l)) if segs is None else segs.tolist()
+    for j, m in enumerate(seg_l):
+        s, e = bounds[m], bounds[m + 1]
+        seg = w[s:e]
+        total = seg.sum()
+        ratio = ratio_l[j]
+        if seg_max[m] >= ratio * total:
+            order = np.argsort(-seg, kind="stable")
+            e_hat, k = _cap_set_sorted(seg[order], ratio)
+            cap_mask = np.zeros(e - s, dtype=bool)
+            cap_mask[order[:k]] = True
+            capped[s:e] = cap_mask
+            w_tilde[s:e] = np.where(cap_mask, e_hat, seg)
+            denom[j] = w_tilde[s:e].sum()
+            thresholds[m] = e_hat
+        else:
+            denom[j] = total
+    return denom
+
+
 def capped_probabilities_batch(
     weights: np.ndarray, offsets: np.ndarray, capacity: int, gamma: float
 ) -> CappedProbabilitiesBatch:
@@ -237,9 +292,9 @@ def capped_probabilities_batch(
     capacity, gamma:
         As in :func:`capped_probabilities`.
     """
-    w = np.asarray(weights, dtype=float)
+    w = np.ascontiguousarray(weights, dtype=float)
     require(w.ndim == 1, f"weights must be 1-D, got shape {w.shape}")
-    off = np.asarray(offsets, dtype=np.int64)
+    off = np.ascontiguousarray(offsets, dtype=np.int64)
     require(off.ndim == 1 and off.shape[0] >= 1, "offsets must be 1-D and non-empty")
     require(
         off[0] == 0 and off[-1] == w.shape[0] and np.all(np.diff(off) >= 0),
@@ -285,36 +340,9 @@ def capped_probabilities_batch(
 
     rand_idx = np.flatnonzero(rand)
     K_seg = lengths[rand_idx].astype(float)
-    ratio_seg = ((1.0 / capacity - gamma / K_seg) / (1.0 - gamma)).tolist()
-    # Segment maxima are order-independent reductions, so one reduceat over
-    # the full edge list is exact; empty segments produce garbage lanes that
-    # the rand_idx filter below never reads.
-    seg_start = np.minimum(off[:-1], E - 1)
-    seg_max = np.maximum.reduceat(w, seg_start).tolist()
-    bounds = off.tolist()
-
-    # Per-edge arithmetic is batched below; only the per-segment normalizing
-    # sum stays in this short loop — np.sum's pairwise summation over each
-    # segment matches the reference path bit-for-bit, which segment tricks
-    # like reduceat would not.
+    ratio_seg = (1.0 / capacity - gamma / K_seg) / (1.0 - gamma)
     w_tilde = w.copy()
-    denom = np.empty(rand_idx.size)
-    for j, m in enumerate(rand_idx.tolist()):
-        s, e = bounds[m], bounds[m + 1]
-        seg = w[s:e]
-        total = seg.sum()
-        ratio = ratio_seg[j]
-        if seg_max[m] >= ratio * total:
-            order = np.argsort(-seg, kind="stable")
-            e_hat, k = _cap_set_sorted(seg[order], ratio)
-            cap_mask = np.zeros(e - s, dtype=bool)
-            cap_mask[order[:k]] = True
-            capped[s:e] = cap_mask
-            w_tilde[s:e] = np.where(cap_mask, e_hat, seg)
-            denom[j] = w_tilde[s:e].sum()
-            thresholds[m] = e_hat
-        else:
-            denom[j] = total
+    denom = _solve_caps(w, off, rand_idx, ratio_seg, w_tilde, capped, thresholds)
 
     denom_edge = np.repeat(denom, lengths[rand_idx])
     if all_rand:
@@ -336,8 +364,6 @@ def capped_probabilities_batch_into(
     *,
     lengths: np.ndarray,
     lengths_f: np.ndarray,
-    bounds: list[int],
-    seg_start: np.ndarray,
     edge_scn: np.ndarray,
     seg_len_edge: np.ndarray,
     out_p: np.ndarray,
@@ -351,10 +377,10 @@ def capped_probabilities_batch_into(
     elementwise stage below performs the identical IEEE operation on the
     identical operands; gathers via ``np.take`` replace the equivalent
     ``np.repeat`` broadcasts), but with the per-slot edge-list topology
-    (``lengths``/``bounds``/``seg_start``/``edge_scn``/``seg_len_edge``,
-    see :class:`repro.env.window.SlotEdges`) precomputed by the windowed
+    (``lengths``/``lengths_f``/``edge_scn``/``seg_len_edge``, see
+    :class:`repro.env.window.SlotEdges`) precomputed by the windowed
     pipeline, and the three output arrays plus one scratch buffer supplied
-    by the caller's arena.
+    by the caller's arena (all C-contiguous, one entry per edge).
 
     The fast path covers the batched engine's operating regime — every
     segment longer than the capacity (all segments randomize) and
@@ -372,28 +398,10 @@ def capped_probabilities_batch_into(
         return capped_probabilities_batch(w, offsets, capacity, gamma)
 
     thresholds = np.full(M, np.nan)
-    ratio_seg = ((1.0 / capacity - gamma / lengths_f) / (1.0 - gamma)).tolist()
-    seg_max = np.maximum.reduceat(w, seg_start).tolist()
-
+    ratio_seg = (1.0 / capacity - gamma / lengths_f) / (1.0 - gamma)
     np.copyto(out_wtilde, w)
     out_capped[:] = False
-    denom = np.empty(M)
-    for m in range(M):
-        s, e = bounds[m], bounds[m + 1]
-        seg = w[s:e]
-        total = seg.sum()
-        ratio = ratio_seg[m]
-        if seg_max[m] >= ratio * total:
-            order = np.argsort(-seg, kind="stable")
-            e_hat, k = _cap_set_sorted(seg[order], ratio)
-            cap_mask = np.zeros(e - s, dtype=bool)
-            cap_mask[order[:k]] = True
-            out_capped[s:e] = cap_mask
-            out_wtilde[s:e] = np.where(cap_mask, e_hat, seg)
-            denom[m] = out_wtilde[s:e].sum()
-            thresholds[m] = e_hat
-        else:
-            denom[m] = total
+    denom = _solve_caps(w, offsets, None, ratio_seg, out_wtilde, out_capped, thresholds)
 
     # p = c · ((1−γ)·w̃/denom + γ/K), staged through the arena: each stage
     # is the same scalar-array ufunc the one-shot expression evaluates.

@@ -92,9 +92,16 @@ class CoverageSampler(CoverageModel):
     def sample_slot(self, rng: np.random.Generator) -> tuple[int, list[np.ndarray]]:
         sizes = rng.integers(self.k_min, self.k_max + 1, size=self.num_scns)
         n_tasks = max(int(round(sizes.sum() / self.overlap)), int(sizes.max()))
-        coverage = [
-            np.sort(rng.choice(n_tasks, size=int(k), replace=False)) for k in sizes
-        ]
+        # Deferred: the repro.core package imports repro.env.
+        from repro.core import native
+
+        # One native call replays every SCN's rng.choice on the same stream
+        # (bit-identical sets, same stream position); None means fall back.
+        coverage = native.cover_draw(rng, n_tasks, sizes)
+        if coverage is None:
+            coverage = [
+                np.sort(rng.choice(n_tasks, size=int(k), replace=False)) for k in sizes
+            ]
         return n_tasks, coverage
 
     def max_coverage_size(self) -> int:

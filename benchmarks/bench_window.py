@@ -11,9 +11,7 @@ short prefix before timing, so the comparison times the same trajectory.
 
 Two scales run by default: the paper scale (M=30, c=20, K∈[35,100]) and a
 4x instance (M=60, c=40, K∈[70,200]) showing how the amortization behaves
-as the edge count grows.  A secondary section A/Bs the parallel result
-transport (``shm`` vs ``pickle``) on a short replication sweep and checks
-the per-seed results are bit-identical across transports.
+as the edge count grows.
 
 Usage::
 
@@ -26,9 +24,8 @@ Results land in ``BENCH_window.json`` (see ``--output``).  The headline is
 the end-to-end speedup of windowed over per-slot at paper scale.
 ``--require-speedup`` turns the headline into a gate (exit non-zero below
 the threshold); it is meant for multi-core CI runners — on a busy or
-single-core host the interleaved timings are noisy and the transport
-section degrades to measuring pool overhead, so treat numbers from such
-hosts as indicative only.
+single-core host the interleaved timings are noisy, so treat numbers from
+such hosts as indicative only.
 
 Timing methodology: per-slot and windowed runs are interleaved
 ``--repeats`` times and the minimum per-arm wall-clock is compared (the
@@ -128,49 +125,6 @@ def ab_windowed(
     }
 
 
-# -- transport A/B ------------------------------------------------------------
-
-
-def ab_transport(cfg: ExperimentConfig, horizon: int, seeds: int = 3) -> dict:
-    """Time a short replication sweep with shm vs pickle result transport.
-
-    Uses an explicit 2-process pool so the parallel path is exercised even
-    on a single-core host (where the timing measures pool overhead, not
-    transport gains — see the module docstring).  Also asserts the per-seed
-    results are bit-identical across transports.
-    """
-    from repro.experiments.replication import run_replications
-    from repro.utils.parallel import default_workers
-    from repro.utils.shm import shm_supported
-
-    short = cfg.with_overrides(horizon=horizon)
-    out: dict = {
-        "seeds": seeds,
-        "workers": 2,
-        "host_cpus": default_workers(),
-        "shm_supported": shm_supported(),
-    }
-    if not out["shm_supported"]:
-        out["note"] = "shared memory unavailable: shm transport degrades to pickle"
-    timings: dict[str, float] = {}
-    rewards: dict[str, list[np.ndarray]] = {}
-    for transport in ("shm", "pickle"):
-        t0 = time.perf_counter()
-        runs = run_replications(
-            short, ("LFSC",), seeds=seeds, workers=2, transport=transport
-        )
-        timings[transport] = time.perf_counter() - t0
-        rewards[transport] = [run.results["LFSC"].reward for run in runs]
-    for a, b in zip(rewards["shm"], rewards["pickle"]):
-        if not np.array_equal(a, b):
-            raise AssertionError("shm and pickle transports returned different results")
-    out["shm_s"] = timings["shm"]
-    out["pickle_s"] = timings["pickle"]
-    out["speedup"] = timings["pickle"] / timings["shm"]
-    out["bit_identical"] = True
-    return out
-
-
 # -- report -------------------------------------------------------------------
 
 
@@ -228,19 +182,6 @@ def print_report(report: dict) -> None:
                 f"{mode:<14} {row['per_slot_ms_per_slot']:>8.3f}ms "
                 f"{row['windowed_ms_per_slot']:>8.3f}ms {row['e2e_speedup']:>8.2f}x"
             )
-    if "transport" in report:
-        tr = report["transport"]
-        print(
-            f"\ntransport A/B ({tr['seeds']} seeds, {tr['workers']} workers, "
-            f"{tr['host_cpus']} host cpus): "
-            f"shm {tr['shm_s']:.2f}s vs pickle {tr['pickle_s']:.2f}s "
-            f"({tr['speedup']:.2f}x), bit-identical: {tr['bit_identical']}"
-        )
-        if tr["host_cpus"] < 2:
-            print(
-                "  note: single-core host — the pool runs serially interleaved; "
-                "transport timing here measures overhead, not throughput"
-            )
     print()
 
 
@@ -272,9 +213,6 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--no-4x", action="store_true", help="skip the 4x-scale instance"
-    )
-    parser.add_argument(
-        "--no-transport", action="store_true", help="skip the shm-vs-pickle section"
     )
     parser.add_argument(
         "--require-speedup",
@@ -323,8 +261,6 @@ def main(argv: list[str] | None = None) -> None:
         scales["paper4x"] = (_paper4x(h4), h4)
 
     report = run_benchmark(scales, args.window, args.repeats)
-    if not args.no_transport:
-        report["transport"] = ab_transport(base, min(horizon, 100))
     print_report(report)
 
     output = args.output
@@ -358,12 +294,6 @@ def test_windowed_equivalent_before_timing():
     cfg, _ = _smoke_cfg()
     for mode in MODES:
         check_equivalence(cfg, mode)
-
-
-def test_transport_bit_identical():
-    cfg, _ = _smoke_cfg()
-    out = ab_transport(cfg, horizon=25, seeds=2)
-    assert out["bit_identical"]
 
 
 def test_windowed_small_scale(benchmark):

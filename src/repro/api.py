@@ -207,7 +207,6 @@ def run(
     scale: str = "small",
     scenario: str | Path | None = None,
     workers: int | None = None,
-    transport: str = "auto",
     **overrides,
 ) -> RunResult:
     """Run the named policies on one shared workload.
@@ -237,13 +236,9 @@ def run(
     workers:
         ``None``/``1`` serial, ``0`` one process per core, ``n`` a pool of n
         — bit-identical results across all settings.
-    transport:
-        Parallel result transport (``"auto"``/``"shm"``/``"pickle"``).
     """
     cfg = _resolve_config(config, scale, overrides, scenario)
-    results = run_experiment(
-        cfg, normalize_specs(policies), workers=workers, transport=transport
-    )
+    results = run_experiment(cfg, normalize_specs(policies), workers=workers)
     return RunResult(config=cfg, results=results)
 
 
@@ -256,7 +251,6 @@ def replicate(
     seeds: Sequence[int] | int = 5,
     confidence: float = 0.95,
     workers: int | None = 0,
-    transport: str = "auto",
     manifest_dir: str | Path | None = None,
     **overrides,
 ) -> ReplicationResult:
@@ -274,7 +268,6 @@ def replicate(
         seeds=seeds,
         confidence=confidence,
         workers=workers,
-        transport=transport,
         manifest_dir=manifest_dir,
     )
     return ReplicationResult(

@@ -44,7 +44,7 @@ the cross-replication window cache — both bit-identical, only faster.
 
 Every run-type subcommand shares one option group (declared once in
 :func:`_add_run_options`): ``--scale/--scenario/--horizon/--seed/--workers/--window/
---transport/--trace/--trace-sample/--manifest-dir/--no-oracle-cache/
+--trace/--trace-sample/--manifest-dir/--no-oracle-cache/
 --cache-dir/--shared-window/--no-shared-window`` plus ``--plot/--save``.
 """
 
@@ -80,6 +80,20 @@ from repro.metrics.summary import comparison_rows
 from repro.policies import DEFAULT_POLICIES
 
 __all__ = ["main", "build_parser"]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -140,24 +154,19 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help="run a registered scenario (see `repro scenarios list`) or a "
         "TOML/JSON scenario config file; takes precedence over --scale",
     )
-    parser.add_argument("--horizon", type=int, default=None)
+    parser.add_argument("--horizon", type=_positive_int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=0, help="0 = all CPUs, 1 = serial")
+    parser.add_argument(
+        "--workers", type=_non_negative_int, default=0, help="0 = all CPUs, 1 = serial"
+    )
     parser.add_argument(
         "--window",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="W",
         help="slot-streaming window: precompute W slots at a time "
         "(0 = per-slot, default = simulator's choice; results are "
         "bit-identical for every W)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="parallel result transport: shared-memory blocks (auto/shm) "
-        "or the pool's pickle pipe; values are bit-identical either way",
     )
     parser.add_argument(
         "--no-oracle-cache",
@@ -200,7 +209,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-sample",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="record every N-th slot (default 1 = all slots)",
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="autosave every N served slots (requires --checkpoint)",
@@ -389,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WxH",
         help="tile grid, e.g. 4x4 (default 2x2)",
     )
-    fleet_p.add_argument("--scns-per-tile", type=int, default=8)
-    fleet_p.add_argument("--wds-per-tile", type=int, default=120)
+    fleet_p.add_argument("--scns-per-tile", type=_positive_int, default=8)
+    fleet_p.add_argument("--wds-per-tile", type=_positive_int, default=120)
     fleet_p.add_argument(
         "--coverage",
         choices=("mobility", "sampler"),
@@ -398,24 +407,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="mobility = coupled tiles with border exchange; "
         "sampler = independent tiles (no-exchange fast path)",
     )
-    fleet_p.add_argument("--shards", type=int, default=1)
+    fleet_p.add_argument("--shards", type=_positive_int, default=1)
     fleet_p.add_argument(
         "--mode",
         choices=("auto", "serial", "process"),
         default="auto",
         help="shard execution mode (auto: processes when shards >= 2)",
     )
-    fleet_p.add_argument("--horizon", type=int, default=200)
+    fleet_p.add_argument("--horizon", type=_positive_int, default=200)
     fleet_p.add_argument("--seed", type=int, default=0)
     fleet_p.add_argument("--truth-seed", type=int, default=7)
     fleet_p.add_argument("--policy", default="LFSC")
     fleet_p.add_argument(
         "--window",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="slot-streaming window (default: simulator default; 0 = per-slot)",
     )
-    fleet_p.add_argument("--exchange-every", type=int, default=16)
+    fleet_p.add_argument("--exchange-every", type=_positive_int, default=16)
     fleet_p.add_argument(
         "--mbs-capacity",
         type=int,
@@ -447,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     repl_p.add_argument(
         "--seeds",
-        type=int,
+        type=_positive_int,
         default=5,
         help="replication count; seeds derive from --seed via the frozen stream contract",
     )
@@ -473,9 +482,7 @@ def _dispatch(args: argparse.Namespace, cfg: ExperimentConfig, workers: int) -> 
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if args.command == "run":
-        results = run_experiment(
-            cfg, tuple(args.policies), workers=workers, transport=args.transport
-        )
+        results = run_experiment(cfg, tuple(args.policies), workers=workers)
         out = FigureOutput(
             name="run",
             series={n: r.cumulative_reward for n, r in results.items()},
@@ -563,7 +570,6 @@ def _dispatch(args: argparse.Namespace, cfg: ExperimentConfig, workers: int) -> 
             tuple(args.policies),
             seeds=seeds,
             workers=workers,
-            transport=args.transport,
             manifest_dir=manifest_dir,
         )
         n = agg[args.policies[0]]["total_reward"].n
@@ -576,9 +582,7 @@ def _dispatch(args: argparse.Namespace, cfg: ExperimentConfig, workers: int) -> 
         from repro.experiments.report import evaluate_shapes, render_report
         from repro.obs.manifest import build_manifest
 
-        shared = run_experiment(
-            cfg, DEFAULT_POLICIES, workers=workers, transport=args.transport
-        )
+        shared = run_experiment(cfg, DEFAULT_POLICIES, workers=workers)
         outputs = [
             fig2a_cumulative_reward(cfg, results=shared),
             fig2_violations(cfg, results=shared),

@@ -705,8 +705,7 @@ class Simulation:
         generating it, and a hit restores the stored post-window RNG state
         and workload cursor so the live streams stay where a cold run would
         leave them.  Bit-identical on or off; shared across policies, sweep
-        points, and (via ``repro.env.window_cache.export_window_state``)
-        worker processes.
+        points, and (inherited by fork) pool worker processes.
     """
 
     network: NetworkConfig

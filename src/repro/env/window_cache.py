@@ -24,11 +24,14 @@ module memoizes those windows:
   and policies is sound as long as consumers treat slots as
   read-only — which every policy already does (slots are frozen dataclasses).
 
-Cross-process sharing rides the existing shm transport
-(:mod:`repro.utils.shm`): :func:`export_window_state` packs the process-wide
-cache's entries into one shared-memory block, workers graft them into their
-own process-local cache via :func:`import_window_state`, and the parent
-unlinks the block after the sweep (:func:`release_window_state`).
+Cross-process sharing is by fork: the runner prefills the process-wide
+cache (:func:`prefill_windows`) before it creates its worker pool, and the
+forked workers inherit the entries (``utils/parallel.py``).  Where fork is
+unavailable a worker misses and regenerates the same window.
+:func:`export_window_state`, :func:`import_window_state` and
+:func:`release_window_state` pack the cache into one shared-memory block and
+graft it back; no production path calls them, and they stay for the
+repository benchmark's hook table (``perfbench/hooks.py``).
 
 Eviction is a total-slot budget with keep-first insertion (not LRU: sweeps
 re-walk windows in ``t`` order, the access pattern LRU is worst at).
@@ -251,14 +254,10 @@ def prefill_windows(
 
 
 # ---------------------------------------------------------------------------
-# Process-wide instance and cross-process transport.
+# Process-wide instance, and the shm export kept for the benchmark's hooks.
 # ---------------------------------------------------------------------------
 
 _SHARED: WindowCache | None = None
-
-#: Shared-memory blocks this process already grafted, so a pool worker that
-#: runs several items does not re-copy the same block per item.
-_IMPORTED_BLOCKS: set[str] = set()
 
 
 def shared_window_cache() -> WindowCache:
@@ -273,17 +272,15 @@ def reset_shared_window_cache() -> None:
     """Drop the process-wide cache (tests and cold benchmark arms)."""
     global _SHARED
     _SHARED = None
-    _IMPORTED_BLOCKS.clear()
 
 
 def export_window_state() -> tuple | None:
-    """Pack the process-wide cache for transport to worker processes.
+    """Pack the process-wide cache into a handle another process can graft.
 
     Returns an opaque picklable handle (or None when there is nothing to
     share).  The array payload travels through one shm block when the host
-    supports it, and inline through the pickle pipe otherwise — grafted
-    values are bit-identical either way, matching the result transport's
-    guarantee.  The caller owns the handle and must call
+    supports it, and inline in the handle otherwise — grafted values are
+    bit-identical either way.  The caller owns the handle and must call
     :func:`release_window_state` after the last import.
     """
     if _SHARED is None or len(_SHARED) == 0:
@@ -301,10 +298,7 @@ def import_window_state(handle: tuple | None) -> int:
         return 0
     if handle[0] == "shm":
         _, skeletons, name, manifest = handle
-        if name in _IMPORTED_BLOCKS:
-            return 0
         entries = shm_transport.unpack_from_shm(skeletons, name, manifest, unlink=False)
-        _IMPORTED_BLOCKS.add(name)
     else:
         entries = handle[1]
     return shared_window_cache().merge(entries)

@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.env.simulator import SimulationResult
-from repro.env.window_cache import import_window_state, release_window_state
 from repro.experiments.runner import (
     ExperimentConfig,
     _prefill_window_state,
@@ -172,11 +171,9 @@ def fig2_violations(
 # ---------------------------------------------------------------------------
 
 def _run_alpha_point(
-    args: tuple[ExperimentConfig, Sequence[str], float, tuple | None]
+    args: tuple[ExperimentConfig, Sequence[str], float]
 ) -> dict[str, SimulationResult]:
-    cfg, policies, alpha, window_state = args
-    if window_state is not None and cfg.shared_window:
-        import_window_state(window_state)
+    cfg, policies, alpha = args
     return run_experiment(cfg.with_overrides(alpha=alpha), policies, workers=None)
 
 
@@ -204,20 +201,16 @@ def fig3_alpha_sweep(
     """
     # Every α point replays the same environment (α never enters the
     # workload stream), so a parallel sweep precomputes the windows once
-    # in the parent and shares them with every point's worker.
-    window_state = None
+    # in the parent and every point's forked worker inherits them.
     if cfg.shared_window and resolve_workers(workers, len(alphas)) > 1:
-        window_state = _prefill_window_state(cfg, policies)
-    try:
-        sweeps = parallel_map(
-            _run_alpha_point,
-            [(cfg, policies, float(a), window_state) for a in alphas],
-            workers=workers,
-            label=_alpha_label,
-            diagnostics=_sweep_streams,
-        )
-    finally:
-        release_window_state(window_state)
+        _prefill_window_state(cfg, policies)
+    sweeps = parallel_map(
+        _run_alpha_point,
+        [(cfg, policies, float(a)) for a in alphas],
+        workers=workers,
+        label=_alpha_label,
+        diagnostics=_sweep_streams,
+    )
     x = np.asarray(list(alphas), dtype=float)
     series: dict[str, np.ndarray] = {"x": x}
     rows: list[dict[str, float | str]] = []
@@ -243,11 +236,9 @@ def fig3_alpha_sweep(
 # ---------------------------------------------------------------------------
 
 def _run_v_point(
-    args: tuple[ExperimentConfig, Sequence[str], tuple[float, float], tuple | None]
+    args: tuple[ExperimentConfig, Sequence[str], tuple[float, float]]
 ) -> dict[str, SimulationResult]:
-    cfg, policies, v_range, window_state = args
-    if window_state is not None and cfg.shared_window:
-        import_window_state(window_state)
+    cfg, policies, v_range = args
     return run_experiment(cfg.with_overrides(v_range=v_range), policies, workers=None)
 
 
@@ -271,19 +262,15 @@ def fig4_likelihood_sweep(
     """
     # v_range only parameterizes the truth (realizations), never the
     # workload stream — every point shares the same windows (see fig3).
-    window_state = None
     if cfg.shared_window and resolve_workers(workers, len(v_lows)) > 1:
-        window_state = _prefill_window_state(cfg, policies)
-    try:
-        sweeps = parallel_map(
-            _run_v_point,
-            [(cfg, policies, (float(lo), 1.0), window_state) for lo in v_lows],
-            workers=workers,
-            label=_v_label,
-            diagnostics=_sweep_streams,
-        )
-    finally:
-        release_window_state(window_state)
+        _prefill_window_state(cfg, policies)
+    sweeps = parallel_map(
+        _run_v_point,
+        [(cfg, policies, (float(lo), 1.0)) for lo in v_lows],
+        workers=workers,
+        label=_v_label,
+        diagnostics=_sweep_streams,
+    )
     x = np.asarray(list(v_lows), dtype=float)
     series: dict[str, np.ndarray] = {"x": x}
     rows: list[dict[str, float | str]] = []

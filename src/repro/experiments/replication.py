@@ -151,7 +151,6 @@ def run_replications(
     *,
     seeds: Sequence[int] | int = 5,
     workers: int | None = 0,
-    transport: str = "auto",
     manifest_dir: str | Path | None = None,
 ) -> list[ReplicationRun]:
     """Run the experiment once per seed and keep every per-seed result.
@@ -165,12 +164,6 @@ def run_replications(
         ``0`` (default) — one process per CPU core, falling back to serial
         on a single-core host; ``None``/``1`` — serial; ``n`` — a pool of n.
         The per-seed results are bit-identical across all settings.
-    transport:
-        Parallel result transport (``"auto"``/``"shm"``/``"pickle"``, see
-        :func:`repro.utils.parallel.parallel_map`): shared-memory numpy
-        blocks by default, the pickle pipe as the fallback knob.  Full
-        ``SimulationResult`` payloads are exactly what the shm path is
-        for — megabytes of arrays per seed.
     manifest_dir:
         When given, writes ``<manifest_dir>/manifest.json`` with the sweep's
         full provenance (config, seed list, policies, git SHA, host, versions)
@@ -189,7 +182,6 @@ def run_replications(
         workers=workers,
         label=_seed_label,
         diagnostics=_seed_streams,
-        transport=transport,
     )
     return [
         ReplicationRun(index=k, seed=s, results=res)
@@ -239,7 +231,6 @@ def replicate(
     seeds: Sequence[int] | int = 5,
     confidence: float = 0.95,
     workers: int | None = 0,
-    transport: str = "auto",
     manifest_dir: str | Path | None = None,
 ) -> dict[str, dict[str, ReplicatedSummary]]:
     """Run the experiment at several seeds and aggregate the summaries.
@@ -254,9 +245,6 @@ def replicate(
         degrees of freedom.
     workers:
         Same semantics as :func:`run_replications`; parallel by default.
-    transport:
-        Parallel result transport knob, as in :func:`run_replications`
-        (summaries are scalar dicts, so either transport is cheap here).
     manifest_dir:
         When given, writes ``<manifest_dir>/manifest.json`` with the sweep's
         provenance (see :func:`run_replications`).
@@ -275,7 +263,6 @@ def replicate(
         workers=workers,
         label=_seed_label,
         diagnostics=_seed_streams,
-        transport=transport,
     )
     return _aggregate(per_seed, policies, confidence)
 

@@ -27,12 +27,13 @@ from repro.env.geometry import CoverageSampler
 from repro.env.network import NetworkConfig
 from repro.env.processes import GroundTruth, PiecewiseConstantTruth
 from repro.env.simulator import PolicyProtocol, Simulation, SimulationResult, effective_window
-from repro.env.window_cache import (
+# export_window_state and import_window_state are imported for
+# perfbench/hooks.py, whose boundary table resolves them in this module.
+from repro.env.window_cache import (  # noqa: F401
     export_window_state,
     import_window_state,
     partition_token,
     prefill_windows,
-    release_window_state,
     shared_window_cache,
 )
 from repro.env.workload import SyntheticWorkload, Workload
@@ -304,19 +305,16 @@ def make_policy(name: str, cfg: ExperimentConfig, truth: GroundTruth) -> PolicyP
     return policy_registry.make_policy(name, cfg, truth)
 
 
-def _run_one(args: tuple[ExperimentConfig, str, tuple | None]) -> SimulationResult:
+def _run_one(args: tuple[ExperimentConfig, str]) -> SimulationResult:
     """Worker: rebuild the (deterministic) experiment and run one policy.
 
     Everything — workload, truth, channel, policy streams — is re-derived
     from the config's integer seeds inside the worker, so the result is a
-    pure function of ``args`` and identical across worker counts.  The
-    optional third element is an exported window-state handle (parent-side
-    prefill); grafting it only pre-populates a content-addressed cache, so
-    it cannot change the result either.
+    pure function of ``args`` and identical across worker counts.  A forked
+    worker starts with the parent's prefilled window cache; a hit there
+    equals a miss bit for bit, so it cannot change the result either.
     """
-    cfg, name, window_state = args
-    if window_state is not None and cfg.shared_window:
-        import_window_state(window_state)
+    cfg, name = args
     sim = build_simulation(cfg)
     policy = make_policy(name, cfg, sim.truth)
     return sim.run(policy, cfg.horizon, window=cfg.window)
@@ -331,18 +329,18 @@ def _policy_streams(index: int, args: tuple) -> str:
     return describe_streams(args[0].seed, (args[1],))
 
 
-def _prefill_window_state(cfg: ExperimentConfig, policies: Sequence[str]) -> tuple | None:
-    """Precompute the sweep's windows once in the parent and export them.
+def _prefill_window_state(cfg: ExperimentConfig, policies: Sequence[str]) -> None:
+    """Precompute the sweep's windows once in the process-wide cache.
 
-    One prefill pass per distinct ``(window size, partition)`` combination
-    among the requested policies — e.g. one partitioned pass for LFSC and
-    one partition-free pass shared by Oracle/vUCB/FML/Random.  Returns the
-    transport handle workers graft via :func:`import_window_state`, or None
-    when nothing is cacheable (per-slot runs, trace workloads, ...).
+    Called in the parent before the pool starts, so forked workers inherit
+    the windows.  One prefill pass per distinct ``(window size, partition)``
+    combination among the requested policies — e.g. one partitioned pass for
+    LFSC and one partition-free pass shared by Oracle/vUCB/FML/Random.  A
+    no-op when nothing is cacheable (per-slot runs, trace workloads, ...).
     """
     sim = build_simulation(cfg)
     if sim.window_cache is None or not getattr(sim.workload, "windowable", False):
-        return None
+        return
     combos: dict[tuple, object] = {}
     for name in policies:
         policy = make_policy(name, cfg, sim.truth)
@@ -355,7 +353,6 @@ def _prefill_window_state(cfg: ExperimentConfig, policies: Sequence[str]) -> tup
             sim.window_cache, sim.workload, sim.truth,
             cfg.seed, cfg.horizon, size, partition=part,
         )
-    return export_window_state()
 
 
 def run_experiment(
@@ -363,7 +360,6 @@ def run_experiment(
     policies: Sequence[str] = DEFAULT_POLICIES,
     *,
     workers: int | None = None,
-    transport: str = "auto",
 ) -> dict[str, SimulationResult]:
     """Run each named policy on identical workload randomness.
 
@@ -375,31 +371,20 @@ def run_experiment(
         are bit-identical across all settings; replication/sweep harnesses
         that fan out one level above keep this ``None`` so process
         parallelism is never nested.
-    transport:
-        Parallel result transport (``"auto"``/``"shm"``/``"pickle"``, see
-        :func:`repro.utils.parallel.parallel_map`); irrelevant for serial
-        runs, bit-identical either way.
 
     Returns
     -------
     Mapping policy name → :class:`SimulationResult`, in the given order.
     """
-    window_state = None
     if cfg.shared_window and resolve_workers(workers, len(policies)) > 1:
-        # Parallel runs can't share the process-local window cache, so the
-        # parent precomputes the sweep's windows once and ships them through
-        # one shm block (bit-identical: a graft only pre-populates a
-        # content-addressed cache).
-        window_state = _prefill_window_state(cfg, policies)
-    try:
-        results = parallel_map(
-            _run_one,
-            [(cfg, name, window_state) for name in policies],
-            workers=workers,
-            label=_policy_label,
-            diagnostics=_policy_streams,
-            transport=transport,
-        )
-    finally:
-        release_window_state(window_state)
+        # The parent precomputes the sweep's windows once; the pool's forked
+        # workers inherit them (bit-identical: the cache is content-addressed).
+        _prefill_window_state(cfg, policies)
+    results = parallel_map(
+        _run_one,
+        [(cfg, name) for name in policies],
+        workers=workers,
+        label=_policy_label,
+        diagnostics=_policy_streams,
+    )
     return {name: res for name, res in zip(policies, results)}

@@ -16,10 +16,9 @@ crossing tile borders.  This package exploits that structure (DESIGN.md
   loop (windowed precompute, per-slot decision-latency recording, optional
   MBS tier);
 - :mod:`repro.fleet.driver` — :func:`run_fleet`, which runs shards in
-  worker processes, exchanges border-WD state per round through
-  :mod:`repro.utils.shm` zero-copy segments, and skips the exchange
-  entirely when the direct coverage sampler makes tiles provably
-  independent.
+  worker processes, exchanges border-WD state per round over each shard's
+  pipe, and skips the exchange entirely when the direct coverage sampler
+  makes tiles provably independent.
 
 Sharded runs are **bit-identical** to the unsharded reference at any shard
 count: every tile's RNG streams derive from ``(seed, tile_index)`` alone

@@ -20,9 +20,8 @@ driver detects independence (``FleetConfig.independent``) and takes the
 no exchange traffic.
 
 With ``shards >= 2`` each shard runs in its own worker process; run
-commands, migrant batches, and final results travel through
-:mod:`repro.utils.shm` zero-copy segments (with an automatic inline
-fallback when shared memory is unavailable or the payload is empty).
+commands, migrant batches, and final results travel as plain objects on
+the shard's :func:`multiprocessing.Pipe`.
 Trajectories are **bit-identical across shard counts and across the
 serial/process modes**: every tile's streams derive from ``(seed, tile)``
 alone, rounds are synchronized, and migrant delivery order is canonical.
@@ -47,7 +46,6 @@ from repro.fleet.tile import TileSim
 from repro.fleet.topology import FleetConfig, partition_tiles
 from repro.metrics.latency import LatencyRecorder, LatencySummary, latency_summary
 from repro.obs import metrics as obs_metrics
-from repro.utils import shm as shm_transport
 from repro.utils.parallel import process_pool_supported
 from repro.utils.validation import check_positive, require
 
@@ -55,28 +53,6 @@ __all__ = ["FleetResult", "fleet_series_equal", "run_fleet"]
 
 #: Per-tile series every fleet run records (the equivalence-gate payload).
 SERIES_KEYS = ("reward", "assigned", "violation_qos", "violation_resource", "wds")
-
-
-# -- payload transport ---------------------------------------------------------
-
-
-def _pack_payload(obj) -> tuple:
-    """Pack one message payload, through shm when there is array mass."""
-    skeletons, name, manifest = shm_transport.pack_to_shm([obj])
-    if name is None:
-        return ("inline", obj, None, None)
-    return ("shm", skeletons[0], name, manifest)
-
-
-def _unpack_payload(packed: tuple):
-    kind, skeleton, name, manifest = packed
-    if kind == "inline":
-        return skeleton
-    return shm_transport.unpack_from_shm([skeleton], name, manifest)[0]
-
-
-def _payload_block(packed: tuple | None) -> str | None:
-    return None if packed is None else packed[2]
 
 
 # -- round plan and migrant routing ---------------------------------------------
@@ -123,10 +99,10 @@ def _route_migrants(
 
 # -- worker protocol -------------------------------------------------------------
 #
-# Parent → worker:  ("run", slots, collect, packed_inbound | None)
+# Parent → worker:  ("run", slots, collect, inbound | None)
 #                   ("finish",)
-# Worker → parent:  ("out", packed_outbound)
-#                   ("result", packed_result, registry_delta)
+# Worker → parent:  ("out", outbound)
+#                   ("result", result, registry_delta)
 #                   ("error", traceback_text)
 
 
@@ -142,7 +118,7 @@ def _shard_worker(conn, cfg: FleetConfig, tiles: tuple[int, ...]) -> None:
             if op == "run":
                 _, count, collect, inbound = msg
                 if inbound is not None:
-                    for tile, (ids, xy) in sorted(_unpack_payload(inbound).items()):
+                    for tile, (ids, xy) in sorted(inbound.items()):
                         sims[tile].receive_migrants(ids, xy)
                 for tile in tiles:
                     sims[tile].run_slots(count)
@@ -150,7 +126,7 @@ def _shard_worker(conn, cfg: FleetConfig, tiles: tuple[int, ...]) -> None:
                 if collect:
                     for tile in tiles:
                         outbound.extend(sims[tile].collect_migrants())
-                conn.send(("out", _pack_payload(outbound)))
+                conn.send(("out", outbound))
             elif op == "finish":
                 recorder.observe_registry("fleet.decide_s", registry)
                 result = {
@@ -158,7 +134,7 @@ def _shard_worker(conn, cfg: FleetConfig, tiles: tuple[int, ...]) -> None:
                     "samples": np.asarray(recorder.samples, dtype=float),
                 }
                 delta = obs_metrics.diff_snapshots(registry.snapshot(), before)
-                conn.send(("result", _pack_payload(result), delta))
+                conn.send(("result", result, delta))
                 return
             else:
                 raise RuntimeError(f"unknown fleet op {op!r}")
@@ -228,13 +204,10 @@ def _run_process(
     groups: tuple[tuple[int, ...], ...],
     plan: list[tuple[int, bool]],
 ) -> tuple[list[dict], int]:
-    """One worker process per shard, border exchange through shm payloads."""
+    """One worker process per shard, border exchange over each shard's pipe."""
     ctx = multiprocessing.get_context()
     procs: list = []
     conns: list = []
-    # shm blocks the parent packed but no worker consumed yet — discarded on
-    # any error path so a dead worker cannot leak its inbound segment.
-    pending: set[str] = set()
     try:
         for group in groups:
             parent_conn, child_conn = ctx.Pipe()
@@ -247,34 +220,19 @@ def _run_process(
             conns.append(parent_conn)
 
         migrants = 0
-        inbound_by_shard: list[tuple | None] = [None] * len(groups)
+        inbound_by_shard: list[dict | None] = [None] * len(groups)
         for count, collect in plan:
             for conn, inbound in zip(conns, inbound_by_shard):
                 conn.send(("run", count, collect, inbound))
-            replies = [
-                _expect(conn, "out", shard) for shard, conn in enumerate(conns)
-            ]
-            # A reply proves the worker consumed (and freed) its inbound block.
-            for inbound in inbound_by_shard:
-                block = _payload_block(inbound)
-                if block:
-                    pending.discard(block)
             outbound: list = []
-            for packed in replies:
-                outbound.extend(_unpack_payload(packed[1]))
+            for shard, conn in enumerate(conns):
+                outbound.extend(_expect(conn, "out", shard)[1])
             routed = _route_migrants(outbound)
             migrants += sum(ids.size for ids, _ in routed.values())
-            inbound_by_shard = []
-            for group in groups:
-                batch = {tile: routed[tile] for tile in group if tile in routed}
-                if batch:
-                    packed = _pack_payload(batch)
-                    block = _payload_block(packed)
-                    if block:
-                        pending.add(block)
-                    inbound_by_shard.append(packed)
-                else:
-                    inbound_by_shard.append(None)
+            inbound_by_shard = [
+                {tile: routed[tile] for tile in group if tile in routed} or None
+                for group in groups
+            ]
 
         for conn in conns:
             conn.send(("finish",))
@@ -282,7 +240,7 @@ def _run_process(
         results = []
         for shard, conn in enumerate(conns):
             msg = _expect(conn, "result", shard)
-            results.append(_unpack_payload(msg[1]))
+            results.append(msg[1])
             registry.merge_snapshot(msg[2])
         for proc in procs:
             proc.join(timeout=60)
@@ -297,8 +255,6 @@ def _run_process(
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=10)
-        for block in pending:
-            shm_transport.discard_block(block)
 
 
 # -- results -----------------------------------------------------------------------

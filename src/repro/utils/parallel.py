@@ -4,7 +4,7 @@ Parameter sweeps (e.g. the alpha sweep of Fig. 3 or the likelihood-range sweep
 of Fig. 4) and multi-seed replications run many independent simulations; each
 is a pure function of its config and seed, so they parallelize embarrassingly
 across processes.  We use ``concurrent.futures.ProcessPoolExecutor`` with
-``spawn``-safe top-level callables.
+top-level callables.
 
 Determinism contract
 --------------------
@@ -13,10 +13,11 @@ Determinism contract
 of its item, the returned list is identical whatever ``workers`` resolves to:
 
 - results are collected **in submission order**, never completion order;
-- chunking only groups transport, it cannot reorder items;
-- worker processes receive no shared mutable state — every item carries its
-  full inputs (configs and integer seeds), so scheduling cannot leak
-  randomness between tasks.
+- chunking only groups work, it cannot reorder items;
+- every item carries its full inputs (configs and integer seeds); the only
+  state a forked worker inherits is content-addressed caches, where a hit
+  equals a miss bit for bit, so scheduling cannot leak randomness between
+  tasks.
 
 Failure surfacing: an exception inside a worker is re-raised in the parent as
 :class:`ParallelExecutionError` naming the failing item's index (and, when
@@ -34,13 +35,13 @@ registry, so ``global_registry().snapshot()`` after a parallel sweep equals
 the serial run's metrics (delta-based merging stays correct when a pool
 reuses worker processes across chunks).
 
-Result transport: with ``transport="auto"`` (the default) a parallel run
-moves the numpy payload of each chunk's results through one shared-memory
-block (:mod:`repro.utils.shm`) instead of the pool's pickle pipe — workers
-fill the block, the parent grafts the arrays back and unlinks it.  Values
-are bit-identical either way; ``transport="pickle"`` keeps the plain pipe
-(the fallback knob, also what any host without working shared memory
-degrades to silently).
+Start method: the pool is created from the ``fork`` context wherever the
+platform offers it, so workers inherit the parent's process-wide caches —
+callers prefill the window cache (:mod:`repro.env.window_cache`) before
+calling :func:`parallel_map`, and every worker starts with those windows.
+Results travel back through the pool's pipe.  Where fork is unavailable the
+default context is used: a worker then misses the cache and regenerates the
+same window, so results stay bit-identical.
 
 Fallbacks: ``workers=0`` (the parallel-by-default setting) resolves to all
 CPU cores, but collapses to serial execution on a single-core host or on a
@@ -51,6 +52,7 @@ exercise the parallel path even on one core.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 import traceback
@@ -59,24 +61,17 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
-from repro.utils import shm as shm_transport
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = [
     "ParallelExecutionError",
-    "TRANSPORTS",
     "default_workers",
     "parallel_map",
     "process_pool_supported",
     "resolve_workers",
 ]
-
-#: Valid ``transport`` arguments: "auto" uses shared memory when it works,
-#: "shm" means the same (kept distinct for explicitness in CLIs), "pickle"
-#: forces the plain pool pipe.
-TRANSPORTS = ("auto", "shm", "pickle")
 
 
 class ParallelExecutionError(RuntimeError):
@@ -135,11 +130,17 @@ def process_pool_supported() -> bool:
     if sys.platform in ("emscripten", "wasi"):
         return False
     try:
-        import multiprocessing
-
         return bool(multiprocessing.get_all_start_methods())
-    except (ImportError, NotImplementedError):  # pragma: no cover - exotic platforms
+    except NotImplementedError:  # pragma: no cover - exotic platforms
         return False
+
+
+def _pool_context():
+    """``fork`` where the platform has it (workers inherit prefilled caches),
+    else the default start method."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def default_workers() -> int:
@@ -173,17 +174,14 @@ def resolve_workers(workers: int | None, n_items: int | None = None) -> int:
 
 
 def _run_chunk(
-    payload: tuple[Callable[[T], R], int, Sequence[T], bool],
+    payload: tuple[Callable[[T], R], int, Sequence[T]],
 ) -> list[tuple[str, object]]:
     """Worker: run one chunk, tagging each result ``("ok", value)`` or
     ``("err", (index, repr, traceback, trace_record))``.  Stops at the first
     failure — later items of the chunk are reported as skipped by the
-    parent.  With shared-memory transport the ``"ok"`` values are replaced
-    by one ``("shm_block", (skeletons, name, manifest))`` entry (see
-    :mod:`repro.utils.shm`); packing failures fall back to inline values.
-    The final ``("metrics", delta)`` entry carries the metrics this chunk
-    added to the worker's process-local registry."""
-    func, start, items, use_shm = payload
+    parent.  The final ``("metrics", delta)`` entry carries the metrics this
+    chunk added to the worker's process-local registry."""
+    func, start, items = payload
     before = obs_metrics.global_registry().snapshot()
     out: list[tuple[str, object]] = []
     for offset, item in enumerate(items):
@@ -202,12 +200,6 @@ def _run_chunk(
                 )
             )
             break
-    if use_shm:
-        ok_values = [value for tag, value in out if tag == "ok"]
-        skeletons, name, manifest = shm_transport.pack_to_shm(ok_values)
-        if name is not None:
-            rest = [entry for entry in out if entry[0] != "ok"]
-            out = [("shm_block", (skeletons, name, manifest)), *rest]
     after = obs_metrics.global_registry().snapshot()
     out.append(("metrics", obs_metrics.diff_snapshots(after, before)))
     return out
@@ -239,7 +231,6 @@ def parallel_map(
     chunksize: int = 1,
     label: Callable[[int, T], str] | None = None,
     diagnostics: Callable[[int, T], str] | None = None,
-    transport: str = "auto",
 ) -> list[R]:
     """Map ``func`` over ``items``, optionally across processes.
 
@@ -257,8 +248,8 @@ def parallel_map(
         sweep of zero or one items runs serially — spawning a pool for a
         single simulation would only add fork/pickle overhead.
     chunksize:
-        Items per worker task for large sweeps; grouping only affects
-        transport, never result order.
+        Items per worker task for large sweeps; grouping never affects
+        result order.
     label:
         Optional ``(index, item) -> str`` used to name the failing item in
         :class:`ParallelExecutionError` (e.g. its replication seed).
@@ -268,12 +259,6 @@ def parallel_map(
         (:func:`repro.utils.rng.describe_streams`), so the exact failing
         streams can be re-derived standalone.  A raising diagnostics
         callable is ignored, never masking the original failure.
-    transport:
-        How parallel results travel back: ``"auto"``/``"shm"`` move the
-        numpy payload through shared-memory blocks (bit-identical values,
-        no array pickling), ``"pickle"`` forces the plain pool pipe.  Hosts
-        without working shared memory degrade to pickling silently; serial
-        runs ignore this.
 
     Returns
     -------
@@ -290,8 +275,6 @@ def parallel_map(
     work: Sequence[T] = list(items)
     if chunksize < 1:
         raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
     resolved = resolve_workers(workers, len(work))
     if resolved <= 1:
         out: list[R] = []
@@ -308,9 +291,8 @@ def parallel_map(
                 ) from exc
         return out
 
-    use_shm = transport != "pickle"
     chunks = [
-        (func, start, work[start : start + chunksize], use_shm)
+        (func, start, work[start : start + chunksize])
         for start in range(0, len(work), chunksize)
     ]
     # A chunk is the unit of scheduling: with chunksize > 1 a tiny sweep can
@@ -318,55 +300,34 @@ def parallel_map(
     # would be forked only to sit idle.  Clamp the pool to the work that
     # exists (resolve_workers already capped by item count for chunksize 1).
     resolved = min(resolved, len(chunks))
-    with ProcessPoolExecutor(max_workers=resolved) as pool:
+    with ProcessPoolExecutor(max_workers=resolved, mp_context=_pool_context()) as pool:
         # Submission order == collection order: futures are resolved in the
         # order the chunks were created, so scheduling cannot reorder results.
         futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
         results: list[R] = []
-        consumed = 0
-        try:
-            for (_, start, chunk_items, _), future in zip(chunks, futures):
-                try:
-                    tagged = future.result()
-                except BaseException as exc:  # e.g. BrokenProcessPool, pickling errors
+        for (_, start, chunk_items), future in zip(chunks, futures):
+            try:
+                tagged = future.result()
+            except BaseException as exc:  # e.g. BrokenProcessPool, pickling errors
+                raise ParallelExecutionError(
+                    start,
+                    _describe(label, start, chunk_items[0]),
+                    repr(exc),
+                    streams=_diagnose(diagnostics, start, chunk_items[0]),
+                ) from exc
+            for tag, value in tagged:
+                if tag == "metrics":
+                    obs_metrics.global_registry().merge_snapshot(value)  # type: ignore[arg-type]
+                elif tag == "err":
+                    index, cause, tb, trace_record = value  # type: ignore[misc]
                     raise ParallelExecutionError(
-                        start,
-                        _describe(label, start, chunk_items[0]),
-                        repr(exc),
-                        streams=_diagnose(diagnostics, start, chunk_items[0]),
-                    ) from exc
-                for tag, value in tagged:
-                    if tag == "metrics":
-                        obs_metrics.global_registry().merge_snapshot(value)  # type: ignore[arg-type]
-                    elif tag == "shm_block":
-                        skeletons, name, manifest = value  # type: ignore[misc]
-                        results.extend(
-                            shm_transport.unpack_from_shm(skeletons, name, manifest)
-                        )
-                    elif tag == "err":
-                        index, cause, tb, trace_record = value  # type: ignore[misc]
-                        raise ParallelExecutionError(
-                            index,
-                            _describe(label, index, work[index]),
-                            cause,
-                            tb,
-                            trace_record=trace_record,
-                            streams=_diagnose(diagnostics, index, work[index]),
-                        )
-                    else:
-                        results.append(value)  # type: ignore[arg-type]
-                consumed += 1
-        except BaseException:
-            # Unconsumed chunks may hold shm blocks the loop will never
-            # unpack; drain their futures and free the segments before
-            # surfacing the error.
-            for future in futures[consumed:]:
-                try:
-                    tagged = future.result()
-                except BaseException:
-                    continue
-                for tag, value in tagged:
-                    if tag == "shm_block":
-                        shm_transport.discard_block(value[1])
-            raise
+                        index,
+                        _describe(label, index, work[index]),
+                        cause,
+                        tb,
+                        trace_record=trace_record,
+                        streams=_diagnose(diagnostics, index, work[index]),
+                    )
+                else:
+                    results.append(value)  # type: ignore[arg-type]
         return results

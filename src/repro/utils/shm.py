@@ -1,32 +1,28 @@
-"""Shared-memory numpy transport for process-parallel result collection.
+"""Shared-memory numpy packing, kept for the repository benchmark's hooks.
 
-``parallel_map`` (PR 2) returns every worker result through the process
-pool's pickle pipe.  For replication sweeps the payload is almost entirely
-numpy arrays — ``SimulationResult``'s per-slot series — so pickling buys
-nothing over a byte copy and costs serialization on both ends of a pipe
-with kernel-bounded throughput.  This module moves the array payload
-through one ``multiprocessing.shared_memory`` block per worker chunk
-instead:
+No production path uses this module any more: pool results and fleet
+messages travel through the pipe, and pool workers inherit prefilled
+windows by fork (``utils/parallel.py``).  ``perfbench/hooks.py`` still
+resolves :func:`pack_to_shm` and :func:`unpack_from_shm`, and
+:func:`repro.env.window_cache.export_window_state` still packs through it,
+so the module stays until the benchmark's hook table drops those names.
 
-- the worker calls :func:`pack_to_shm`, which walks each result object
-  (dataclasses, dicts, lists, tuples — :class:`SimulationResult` included),
+- :func:`pack_to_shm` walks each value (dataclasses, dicts, lists, tuples),
   lifts every materializable ndarray into one shared block, and returns a
   pickle-light *skeleton* whose arrays are :class:`ArrayRef` placeholders
   plus a manifest of ``(shape, dtype, offset)`` descriptors;
-- the parent calls :func:`unpack_from_shm`, which views the block, rebuilds
-  each array (materializing it out of the block so results outlive the
-  segment), grafts them back into the skeletons, then closes and unlinks
-  the block.
+- :func:`unpack_from_shm` views the block, rebuilds each array
+  (materializing it out of the block so values outlive the segment),
+  grafts them back into the skeletons, then closes and unlinks the block.
 
-Only the skeletons and the manifest cross the pickle pipe.  Values are
-bit-identical to the pickle path (enforced by
-``tests/utils/test_shm_transport.py``): the block carries the exact bytes
-of each array, and anything shared memory cannot hold — object-dtype or
-zero-size arrays, scalars, non-array fields — stays inline in the skeleton.
+Values are bit-identical to the inputs (``tests/utils/test_shm_transport.py``):
+the block carries the exact bytes of each array, and anything shared memory
+cannot hold — object-dtype or zero-size arrays, scalars, non-array fields —
+stays inline in the skeleton.
 
-Lifetime: the worker unregisters its block from the resource tracker and
-closes its mapping immediately after filling it (the parent owns the
-segment from then on); the parent unlinks in a ``finally`` so a failed
+Lifetime: the packer unregisters its block from the resource tracker and
+closes its mapping immediately after filling it (the consumer owns the
+segment from then on); the consumer unlinks in a ``finally`` so a failed
 rebuild cannot leak the segment.  :func:`discard_block` lets error paths
 drop a block they will never unpack.
 """

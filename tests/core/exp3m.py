@@ -1,5 +1,7 @@
 """Reference single-agent Exp3.M (multiple-play adversarial bandit).
 
+A test helper: no ``repro`` module, example or benchmark uses it.
+
 The textbook algorithm LFSC's per-SCN machinery is built from, in its pure
 form: K fixed arms, choose exactly k per round via DepRound on the capped
 exponential-weights probabilities, observe the chosen arms' rewards, update

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.exp3m import Exp3M
+from tests.core.exp3m import Exp3M
 
 
 def run_stochastic(means, plays, T, seed=0, **kw):

@@ -1,17 +1,17 @@
-"""Tests for repro.env.traces — trace IO and modulated arrival models."""
+"""Tests for tests.env.traces — trace IO and modulated arrival models."""
 
 import numpy as np
 import pytest
 
 from repro.env.contexts import TaskFeatureModel
 from repro.env.geometry import CoverageSampler
-from repro.env.traces import (
+from repro.env.workload import SyntheticWorkload, TraceWorkload
+from tests.env.traces import (
     BurstyCoverageSampler,
     DiurnalCoverageSampler,
     load_trace,
     save_trace,
 )
-from repro.env.workload import SyntheticWorkload, TraceWorkload
 
 
 def recorded_trace(rng, n=4) -> TraceWorkload:

@@ -7,6 +7,8 @@ content-addressed over the window's inputs and a hit restores the live
 workload stream (RNG state + id cursor) to the exact post-window position.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,26 @@ class TestEquivalence:
         serial = run_experiment(_cfg(), ["LFSC", "vUCB"], workers=None)
         reset_shared_window_cache()
         parallel = run_experiment(_cfg(), ["LFSC", "vUCB"], workers=2)
+        assert _rewards(serial) == _rewards(parallel)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork"
+    )
+    def test_forked_workers_inherit_prefilled_windows(self):
+        """Pool workers are forked after the parent's prefill, so every
+        window of every policy hits the inherited cache (the worker counters
+        merge into the parent's registry).  Under spawn or forkserver a
+        worker starts cold and its first policy misses every window."""
+        from repro.obs.metrics import global_registry
+
+        cfg = _cfg()
+        policies = ["LFSC", "vUCB", "FML"]
+        serial = run_experiment(cfg, policies, workers=None)
+        reset_shared_window_cache()
+        hits = global_registry().counter("window.cache.hit")
+        before = hits.value
+        parallel = run_experiment(cfg, policies, workers=2)
+        assert hits.value - before == len(policies) * (cfg.horizon // cfg.window)
         assert _rewards(serial) == _rewards(parallel)
 
     def test_hits_and_misses_stay_bit_identical(self):

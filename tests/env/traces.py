@@ -1,4 +1,9 @@
-"""Workload trace persistence and richer arrival models.
+"""Workload trace persistence and richer arrival models (test helpers).
+
+No ``repro`` module, example or benchmark uses these; they live beside
+their tests (``tests/env/test_traces.py``), which also exercise
+:class:`~repro.env.workload.TraceWorkload` and the
+:class:`~repro.env.geometry.CoverageModel` protocol through them.
 
 The paper evaluates on distribution-sampled workloads ("real world data"
 drawn from the §5 distributions).  Real deployments would replay measured

@@ -30,6 +30,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--horizon", "-3"],
+            ["run", "--workers", "-1"],
+            ["run", "--window", "-2"],
+            ["run", "--trace-sample", "0"],
+            ["replicate", "--seeds", "0"],
+            ["fleet", "--shards", "0"],
+            ["fleet", "--exchange-every", "0"],
+            ["fleet", "--scns-per-tile", "0"],
+            ["fleet", "--horizon", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_count_is_a_usage_error(self, argv, capsys):
+        # A bad count fails in argparse (exit 2, naming the flag), before
+        # any library validator could raise a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
 
 class TestMain:
     def test_run_prints_table(self, capsys):
@@ -252,7 +275,7 @@ class TestUnifiedOptions:
         parser = build_parser()
         for command in self.RUN_COMMANDS:
             args = parser.parse_args([command])
-            for dest in ("window", "transport", "trace",
+            for dest in ("window", "trace",
                          "trace_sample", "manifest_dir", "no_oracle_cache"):
                 assert hasattr(args, dest), f"{command} lacks --{dest}"
 
@@ -281,7 +304,7 @@ class TestUnifiedOptions:
 
     def test_removed_aliases_exit_with_usage_error(self, capsys):
         for argv in (["--trace-path", "t.jsonl"], ["--sample-every", "3"],
-                     ["--result-transport", "pickle"]):
+                     ["--result-transport", "pickle"], ["--transport", "pickle"]):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(["run", *argv])
             assert exc.value.code == 2, argv[0]
@@ -297,7 +320,8 @@ class TestUnifiedOptions:
         text = buf.getvalue()
         assert "--trace-path" not in text
         assert "--result-transport" not in text
-        assert "--trace" in text and "--transport" in text
+        assert "--transport" not in text
+        assert "--trace" in text
 
     def test_gz_trace_via_cli(self, capsys, tmp_path):
         from repro.obs.trace import read_trace

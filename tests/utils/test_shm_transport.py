@@ -1,11 +1,12 @@
-"""Shared-memory result transport: round-trips, fallbacks, bit-equivalence.
+"""Shared-memory packing round-trips, and pool results through the pipe.
 
-The pickle pipe is the reference: whatever ``parallel_map`` returns with
-``transport="pickle"`` must come back byte-for-byte identical through the
-shared-memory path, for the real payload (``SimulationResult`` trees) and
-for adversarial shapes (object dtypes, zero-size arrays, nested containers,
-namedtuples, frozen dataclasses).  Also covers the lifetime contract: a
-consumed block is unlinked, and ``discard_block`` tolerates missing blocks.
+``pack_to_shm``/``unpack_from_shm`` must return values byte-for-byte
+identical to their inputs, for adversarial shapes (object dtypes, zero-size
+arrays, nested containers, namedtuples, frozen dataclasses), and honour the
+lifetime contract: a consumed block is unlinked, and ``discard_block``
+tolerates missing blocks.  ``parallel_map`` returns results through the
+pool's pipe: a 2-worker run must equal the serial run, and a worker that
+fails or dies must leave no shared-memory segment behind.
 """
 
 import collections
@@ -158,30 +159,20 @@ def _simulate(seed: int):
 
 
 class TestParallelTransport:
-    @needs_shm
-    def test_shm_equals_pickle_equals_serial(self):
+    def test_parallel_equals_serial(self):
         items = [0, 1, 2]
         serial = parallel_map(_simulate, items, workers=1)
-        shm_res = parallel_map(_simulate, items, workers=2, transport="shm")
-        pickled = parallel_map(_simulate, items, workers=2, transport="pickle")
-        for a, b, c in zip(serial, shm_res, pickled):
+        parallel = parallel_map(_simulate, items, workers=2)
+        for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a.reward, b.reward)
-            np.testing.assert_array_equal(a.reward, c.reward)
             np.testing.assert_array_equal(a.completed, b.completed)
-            np.testing.assert_array_equal(a.completed, c.completed)
             np.testing.assert_array_equal(a.violation_qos, b.violation_qos)
-            np.testing.assert_array_equal(a.violation_qos, c.violation_qos)
 
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            parallel_map(_simulate, [0], workers=1, transport="carrier-pigeon")
-
-    @needs_shm
     def test_worker_error_does_not_leak_blocks(self):
         from repro.utils.parallel import ParallelExecutionError
 
         with pytest.raises(ParallelExecutionError):
-            parallel_map(_boom_after_result, [0, 1], workers=2, transport="shm")
+            parallel_map(_boom_after_result, [0, 1], workers=2)
 
 
 def _boom_after_result(i: int):
@@ -208,7 +199,7 @@ def work(i):
 
 if __name__ == "__main__":
     try:
-        parallel_map(work, [0, 1], workers=2, chunksize=1, transport="shm")
+        parallel_map(work, [0, 1], workers=2, chunksize=1)
     except Exception as exc:
         print(f"raised:{type(exc).__name__}")
         raise SystemExit(0)

@@ -11,7 +11,7 @@ summary matters most.
 ``repro trace --diff A B`` (:func:`diff_traces` / :func:`format_trace_diff`)
 compares two traces slot by slot — the tool for hunting down where two runs
 that should be bit-identical (different window sizes, worker counts,
-transports) first part ways.  Records are aligned on ``t``;
+shard counts) first part ways.  Records are aligned on ``t``;
 non-timing fields are compared exactly (span timings are wall-clock noise
 and never compared), and the report leads with the first divergent slot and
 its field-level deltas.

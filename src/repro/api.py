@@ -217,9 +217,10 @@ def run(
         A ready :class:`ExperimentConfig`; when omitted, the ``scale``
         preset (``"paper"``/``"small"``/``"tiny"``) is built instead.
         Keyword ``overrides`` (e.g. ``horizon=500``, ``seed=3``,
-        ``alpha=14.0``, ``cache_dir="~/.cache/repro"`` for the on-disk
-        Oracle memo, ``shared_window=False`` to disable cross-run window
-        sharing — DESIGN.md §9) apply on top of either.
+        ``alpha=14.0``, ``cache_dir="~/.cache/repro"`` to persist the
+        Oracle's solver cache on disk, ``shared_window=False`` to disable
+        cross-run window sharing — DESIGN.md §8-9) apply on top of either.
+        An unknown override raises :class:`TypeError`.
     policies:
         Registry policy specs (default: the paper's Fig. 2 line-up) — name
         strings (``"LFSC"``), parameterized spec strings

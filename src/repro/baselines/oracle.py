@@ -39,7 +39,7 @@ from repro.solvers.cache import SlotProblemCache, shared_cache
 from repro.solvers.highs import solve_soft_qos
 from repro.solvers.ilp import solve_two_stage_ilp
 from repro.solvers.lagrangian import solve_dual_decomposition
-from repro.solvers.lp import SlotProblem, solve_lp_relaxation
+from repro.solvers.lp import SlotProblem
 from repro.utils.validation import require
 
 __all__ = [
@@ -87,8 +87,8 @@ def build_slot_problem_fast(
     gather the same grid cells with the same arithmetic — test-gated), but
     evaluates only the E coverage edges instead of the full M×n tables, and
     reuses a windowed slot's precomputed edge arrays and truth cells when
-    present.  Used by the cached Oracle path; the cold path keeps the dense
-    reference build.
+    present.  Truths without the pair API (``slot_pair_stats``) take the
+    dense build.
     """
     stats_fn = getattr(truth, "slot_pair_stats", None)
     if stats_fn is None:
@@ -137,59 +137,10 @@ def _greedy_round(problem: SlotProblem, x: np.ndarray) -> Assignment:
     Greedy on the fractional values respects (1a)/(1b) exactly; the pruning
     pass drops the lowest reward-per-consumption tasks of any SCN whose
     expected consumption still exceeds β (the LP satisfied β fractionally,
-    rounding can overshoot by at most one task's worth).
-    """
-    support = x > 1e-6
-    coverage: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    edge_pos: list[np.ndarray] = []
-    for m in range(problem.num_scns):
-        rows = np.flatnonzero((problem.edge_scn == m) & support)
-        coverage.append(problem.edge_task[rows])
-        weights.append(x[rows])
-        edge_pos.append(rows)
-    assignment = greedy_select(coverage, weights, problem.capacity, problem.num_tasks)
-    if len(assignment) == 0:
-        return assignment
-
-    # β-pruning per SCN on expected consumption.
-    edge_lookup: dict[tuple[int, int], int] = {}
-    for rows in edge_pos:
-        for r in rows:
-            edge_lookup[(int(problem.edge_scn[r]), int(problem.edge_task[r]))] = int(r)
-    keep_scn: list[int] = []
-    keep_task: list[int] = []
-    for m in range(problem.num_scns):
-        tasks = assignment.task[assignment.scn == m]
-        if tasks.size == 0:
-            continue
-        rows = np.asarray([edge_lookup[(m, int(i))] for i in tasks])
-        q = problem.q[rows]
-        g = problem.g[rows]
-        order = np.argsort(g / np.maximum(q, 1e-12))  # drop worst value-density first
-        total_q = q.sum()
-        drop = set()
-        for j in order:
-            if total_q <= problem.beta:
-                break
-            drop.add(int(j))
-            total_q -= q[j]
-        for j, task in enumerate(tasks):
-            if j not in drop:
-                keep_scn.append(m)
-                keep_task.append(int(task))
-    return Assignment(
-        scn=np.asarray(keep_scn, dtype=np.int64), task=np.asarray(keep_task, dtype=np.int64)
-    )
-
-
-def _greedy_round_fast(problem: SlotProblem, x: np.ndarray) -> Assignment:
-    """Vectorized :func:`_greedy_round` — identical output (test-gated).
-
-    Exploits the build invariant that ``edge_scn`` is non-decreasing (edges
-    are concatenated per SCN): the per-SCN support scan becomes one bincount
-    split, and the β-pruning row lookup uses a sorted key instead of a
-    Python dict over every support edge.
+    rounding can overshoot by at most one task's worth).  Relies on the
+    build invariant that ``edge_scn`` is non-decreasing (edges are
+    concatenated per SCN): the per-SCN support scan is one bincount split,
+    and the β-pruning row lookup is a sorted key.
     """
     support = x > 1e-6
     sup_rows = np.flatnonzero(support)
@@ -206,8 +157,7 @@ def _greedy_round_fast(problem: SlotProblem, x: np.ndarray) -> Assignment:
     if len(assignment) == 0:
         return assignment
 
-    # β-pruning per SCN on expected consumption (same order of operations
-    # as the reference; only the edge-row lookup is vectorized).
+    # β-pruning per SCN on expected consumption.
     key = problem.edge_scn * np.int64(max(problem.num_tasks, 1)) + problem.edge_task
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
@@ -241,14 +191,14 @@ def _greedy_round_fast(problem: SlotProblem, x: np.ndarray) -> Assignment:
 class OraclePolicy(OffloadingPolicy):
     """Per-slot optimal offloading with full knowledge of the ground truth.
 
-    ``cache`` activates the solver caching layer (DESIGN.md §8): pass a
-    :class:`~repro.solvers.cache.SlotProblemCache`, the string ``"shared"``
-    for the process-wide instance, or ``None`` (default) for the cold
-    reference path.  The cached path is bit-identical to cold — same
-    assignments slot for slot — it only skips or accelerates work that is a
-    pure function of the slot problem's content.  The simulation driver can
-    also hand a cache down via :meth:`attach_solver_cache` (an explicit
-    constructor argument wins).
+    Every slot goes through the solver caching layer (DESIGN.md §8): the
+    problem is built from the coverage edges alone, addressed by content
+    signature in ``cache`` (default: the process-wide
+    :func:`~repro.solvers.cache.shared_cache`), and on a miss solved with
+    the direct HiGHS path, reusing any memoized α-independent pieces
+    (pre-pass achievable vector, ILP stage-1 total).  A hit replays the
+    stored assignment; the cache only skips work that is a pure function of
+    the slot problem's content, so outputs never depend on its state.
     """
 
     def __init__(
@@ -256,7 +206,7 @@ class OraclePolicy(OffloadingPolicy):
         truth: GroundTruth,
         *,
         mode: str = "lp",
-        cache: SlotProblemCache | str | None = None,
+        cache: SlotProblemCache | None = None,
     ) -> None:
         super().__init__()
         require(
@@ -265,53 +215,11 @@ class OraclePolicy(OffloadingPolicy):
         self.truth = truth
         self.mode = mode
         self.name = "Oracle" if mode == "lp" else f"Oracle-{mode}"
-        if cache == "shared":
-            cache = shared_cache()
-        self.cache = cache
-        self._cache_pinned = cache is not None
-
-    def attach_solver_cache(self, cache: SlotProblemCache) -> None:
-        """Driver handoff (see ``Simulation.solver_cache``); no-op when the
-        policy was constructed with an explicit cache."""
-        if not self._cache_pinned:
-            self.cache = cache
+        self.cache = shared_cache() if cache is None else cache
 
     def select(self, slot: SlotObservation) -> Assignment:
         network = self._require_reset()
-        if self.cache is not None:
-            return self._select_cached(slot, network, self.cache)
-        with obs_runtime.span("oracle.problem"):
-            problem = build_slot_problem(
-                slot, self.truth, network.capacity, network.alpha, network.beta
-            )
-        if self.mode == "ilp":
-            with obs_runtime.span("oracle.solve"):
-                sol = solve_two_stage_ilp(problem)
-            return _edges_to_assignment(problem, sol.selected_edges())
-        if self.mode == "dual":
-            with obs_runtime.span("oracle.solve"):
-                dual = solve_dual_decomposition(problem)
-            return _edges_to_assignment(problem, dual.selected_edges())
-        if self.mode == "lp":
-            with obs_runtime.span("oracle.solve"):
-                sol = solve_lp_relaxation(problem, qos_mode="soft")
-            if sol.feasible:
-                with obs_runtime.span("oracle.round"):
-                    return _greedy_round(problem, sol.x)
-            # Extremely rare fall-back: behave like the heuristic.
-        with obs_runtime.span("oracle.solve"):
-            return self._two_pass_greedy(problem)
-
-    def _select_cached(
-        self, slot: SlotObservation, network, cache: SlotProblemCache
-    ) -> Assignment:
-        """The caching/warm-start path — bit-identical to the cold path.
-
-        Per slot: build the problem from the windowed edge arrays (no dense
-        tables), address the cache by content signature, and on a miss solve
-        with the direct HiGHS path, reusing any memoized α-independent
-        pieces (pre-pass achievable vector, ILP stage-1 total).
-        """
+        cache = self.cache
         with obs_runtime.span("oracle.problem"):
             problem = build_slot_problem_fast(
                 slot, self.truth, network.capacity, network.alpha, network.beta
@@ -339,8 +247,9 @@ class OraclePolicy(OffloadingPolicy):
             cache.store_achievable(sig, achievable)
             if sol.feasible:
                 with obs_runtime.span("oracle.round"):
-                    assignment = _greedy_round_fast(problem, sol.x)
+                    assignment = _greedy_round(problem, sol.x)
             else:
+                # Extremely rare fall-back: behave like the heuristic.
                 with obs_runtime.span("oracle.solve"):
                     assignment = self._two_pass_greedy(problem)
         else:  # greedy

@@ -44,8 +44,8 @@ the cross-replication window cache — both bit-identical, only faster.
 
 Every run-type subcommand shares one option group (declared once in
 :func:`_add_run_options`): ``--scale/--scenario/--horizon/--seed/--workers/--window/
---trace/--trace-sample/--manifest-dir/--no-oracle-cache/
---cache-dir/--shared-window/--no-shared-window`` plus ``--plot/--save``.
+--trace/--trace-sample/--manifest-dir/--cache-dir/--shared-window/
+--no-shared-window`` plus ``--plot/--save``.
 """
 
 from __future__ import annotations
@@ -114,8 +114,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if getattr(args, "window", None) is not None:
         overrides["window"] = args.window
-    if getattr(args, "no_oracle_cache", False):
-        overrides["oracle_cache"] = False
     if getattr(args, "cache_dir", None) is not None:
         overrides["cache_dir"] = args.cache_dir
     if getattr(args, "shared_window", None) is not None:
@@ -167,12 +165,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help="slot-streaming window: precompute W slots at a time "
         "(0 = per-slot, default = simulator's choice; results are "
         "bit-identical for every W)",
-    )
-    parser.add_argument(
-        "--no-oracle-cache",
-        action="store_true",
-        help="disable the Oracle solver cache (DESIGN.md §8); results are "
-        "bit-identical, only slower",
     )
     parser.add_argument(
         "--cache-dir",
@@ -427,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument("--exchange-every", type=_positive_int, default=16)
     fleet_p.add_argument(
         "--mbs-capacity",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="per-tile MBS fallback admission limit (0 disables the tier)",
     )

@@ -20,9 +20,10 @@ output arrays are preallocated at the matching-size bound min(n, M·c), and
 the pass exits early once that bound is reached.
 
 Two entry points share the kernel: :func:`greedy_select` takes the per-SCN
-coverage/weight lists the reference LFSC path produces, and
-:func:`greedy_select_edges` takes the flat edge list the batched slot engine
-already holds (skipping the concatenation).
+coverage/weight lists the baselines (Oracle, vUCB, FML, Random and the
+extras) produce, and :func:`greedy_select_edges` takes the flat edge list
+LFSC's slot kernel and the learned tier already hold (skipping the
+concatenation).
 """
 
 from __future__ import annotations

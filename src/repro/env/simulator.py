@@ -690,13 +690,6 @@ class Simulation:
     validate_assignments:
         When True (default) every assignment is checked against (1a), (1b)
         and coverage — catching buggy policies at the slot they misbehave.
-    solver_cache:
-        Optional solver cache (:class:`repro.solvers.cache.SlotProblemCache`)
-        handed to any policy exposing ``attach_solver_cache`` at the start
-        of each run — the driver-side half of the Oracle caching layer
-        (DESIGN.md §8).  Purely an accelerator: cached runs are bit-identical
-        to cold runs, and windowed slots feed the cache their precomputed
-        edge arrays through the same window loop.
     window_cache:
         Optional cross-run window cache
         (:class:`repro.env.window_cache.WindowCache`): windowed runs look
@@ -714,7 +707,6 @@ class Simulation:
     channel: BlockageChannel | None = None
     seed: int | None | np.random.SeedSequence = 0
     validate_assignments: bool = True
-    solver_cache: object | None = None
     window_cache: object | None = None
 
     def __post_init__(self) -> None:
@@ -760,10 +752,6 @@ class Simulation:
         reset = getattr(self.workload, "reset", None)
         if callable(reset):
             reset()
-        if self.solver_cache is not None:
-            attach = getattr(policy, "attach_solver_cache", None)
-            if callable(attach):
-                attach(self.solver_cache)
         policy.reset(self.network, horizon, rngs.policy(policy.name))
         kernel = SlotKernel(
             self.network, self.workload, self.truth, self.channel, policy, rngs,

@@ -90,18 +90,11 @@ class ExperimentConfig:
     seed: int = 0
     truth_seed: int = 7
     oracle_mode: str = "lp"
-    #: Oracle solver caching layer (DESIGN.md §8): when True (default) the
-    #: simulation hands the process-wide content-addressed
-    #: :class:`~repro.solvers.cache.SlotProblemCache` to the Oracle, which
-    #: then skips solver work that repeats across slots, sweep points, and
-    #: runs.  Bit-identical to ``False`` — the cache is keyed on problem
-    #: content, never provenance — just faster.
-    oracle_cache: bool = True
-    #: On-disk tier for the Oracle solver cache (DESIGN.md §9): a directory
+    #: On-disk tier for the Oracle solver cache (DESIGN.md §8-9): a directory
     #: where achievable/stage-1/assignment memos persist across processes
     #: and sessions.  ``None`` falls back to the ``REPRO_CACHE_DIR``
     #: environment variable, and to memory-only when that is unset too.
-    #: Only meaningful with ``oracle_cache=True``; bit-identical either way.
+    #: Bit-identical either way.
     cache_dir: str | None = None
     #: Slot-streaming window for the simulation driver: ``None`` — the
     #: simulator's default (windowed when eligible, see
@@ -273,8 +266,6 @@ def build_channel(cfg: ExperimentConfig):
 
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
     """Simulation bound to this config's network, workload, and truth."""
-    from repro.solvers.cache import shared_cache
-
     env = _scenario_env(cfg)
     workload = truth = channel = None
     if env is not None:
@@ -285,7 +276,6 @@ def build_simulation(cfg: ExperimentConfig) -> Simulation:
         truth=truth if truth is not None else default_truth(cfg),
         channel=channel,
         seed=cfg.seed,
-        solver_cache=shared_cache(cfg.cache_dir) if cfg.oracle_cache else None,
         window_cache=shared_window_cache() if cfg.shared_window else None,
     )
 

@@ -118,6 +118,7 @@ class FleetConfig:
         check_positive("scns_per_tile", self.scns_per_tile)
         check_positive("horizon", self.horizon)
         check_positive("exchange_every", self.exchange_every)
+        check_positive("mbs_capacity", self.mbs_capacity, strict=False)
         require(
             self.coverage in ("mobility", "sampler"),
             f"coverage must be 'mobility' or 'sampler', got {self.coverage!r}",
@@ -224,8 +225,7 @@ class FleetConfig:
             truth_seed=fleet_seed(self.truth_seed, tile),
             window=self.window,
             # Tiles are stepped incrementally by the driver; the cross-run
-            # caches assume a whole-run lifecycle, so stand them down.
-            oracle_cache=False,
+            # window cache assumes a whole-run lifecycle, so stand it down.
             shared_window=False,
         )
 

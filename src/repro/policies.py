@@ -374,8 +374,9 @@ def make_policy(
 
 def _build_oracle(cfg, truth, params):
     from repro.baselines.oracle import OraclePolicy
+    from repro.solvers.cache import shared_cache
 
-    return OraclePolicy(truth, mode=cfg.oracle_mode)
+    return OraclePolicy(truth, mode=cfg.oracle_mode, cache=shared_cache(cfg.cache_dir))
 
 
 def _build_oracle_unconstrained(cfg, truth, params):

@@ -5,8 +5,8 @@ the wrapped policy's ``name`` (so the frozen stream contract derives the
 same policy RNG with or without the wrapper) and delegates every attribute
 it does not override — ``config``, ``context_partition`` (window
 eligibility and windowed classification), ``multipliers`` (trace
-duals), ``attach_solver_cache``, ``t``, ``checkpoint_state`` — to the base
-policy.  Subclasses intercept only the ``select``/``update`` surface.
+duals), ``t``, ``checkpoint_state`` — to the base policy.  Subclasses
+intercept only the ``select``/``update`` surface.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class PolicyWrapper:
 
     def __getattr__(self, item):
         # Fallback for everything the wrapper does not define (config,
-        # context_partition, multipliers, attach_solver_cache, t, ...).
+        # context_partition, multipliers, t, ...).
         # __getattr__ only fires for *missing* attributes, so the wrapper's
         # own methods and ``base`` itself never recurse through here.
         if item == "base":  # not yet set (e.g. during unpickling)

@@ -155,7 +155,18 @@ def _lfsc_from_dict(doc: Mapping) -> LFSCConfig:
 
 
 def config_from_dict(doc: Mapping) -> ExperimentConfig:
-    """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict` output."""
+    """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict` output.
+
+    Older checkpoints carry the retired Oracle solver-cache switch
+    (``"oracle_cache"``); both of its values ran the same bit-identical
+    trajectory, so either one is dropped and the run resumes unchanged.
+    """
+    if not isinstance(doc, Mapping):
+        raise CheckpointFormatError(f"config is a {type(doc).__name__}, not a mapping")
+    doc = dict(doc)
+    legacy = doc.pop("oracle_cache", True)
+    if not isinstance(legacy, bool):
+        raise CheckpointFormatError(f"config has non-boolean oracle_cache {legacy!r}")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(doc) - known
     if unknown:
@@ -300,12 +311,6 @@ class OnlineSession:
         self.policy = make_session_policy(self.policy_name, config, self.truth)
 
         self.workload.reset()
-        if config.oracle_cache:
-            attach = getattr(self.policy, "attach_solver_cache", None)
-            if callable(attach):
-                from repro.solvers.cache import shared_cache
-
-                attach(shared_cache(config.cache_dir))
         self.policy.reset(self.network, self.horizon, rngs.policy(self.policy.name))
         # W = 1 with no prefetch: every slot takes the windowed kernel when
         # the batch simulator would window this (workload, policy) pair, and

@@ -8,8 +8,7 @@ achievable-QoS vector (α-independent), the ILP's stage-1 completion total
 the problem arrays, so:
 
 - an α sweep (``fig3``) re-running the Oracle over the same workload skips
-  every pre-pass LP after the first sweep point — the dominant saving
-  behind ``benchmarks/bench_oracle.py``'s ≥2× headline;
+  every pre-pass LP after the first sweep point;
 - repeated runs of the same configuration (tests, ``report``, notebook
   re-evaluation) skip the solves entirely and replay the assignments.
 
@@ -48,9 +47,9 @@ makes write-write races benign — both writers carry identical bytes.
 
 Interaction with the frozen RNG contract: the cache lives entirely inside
 ``OraclePolicy.select`` — it never touches a workload, realization, or
-policy stream, so cached and cold runs draw identical randomness and the
-trajectories are bit-identical (gated by
-``tests/baselines/test_oracle_cache.py`` and the bench's equivalence gate).
+policy stream, so a warm and an empty cache draw identical randomness and
+the trajectories are bit-identical (gated against the uncached reference
+Oracle in ``tests/baselines/``).
 """
 
 from __future__ import annotations
@@ -375,7 +374,7 @@ def _resolve_cache_dir(cache_dir: str | Path | None) -> str | None:
 
 
 def shared_cache(cache_dir: str | Path | None = None) -> SlotProblemCache:
-    """The process-wide cache instance (what ``oracle_cache=True`` wires up).
+    """The process-wide cache instance (the Oracle's default cache).
 
     Content addressing makes sharing across configs/truths/seeds sound (see
     module docstring), and sharing is precisely what lets one sweep point

@@ -1,6 +1,9 @@
 """Regenerate the Oracle per-mode golden trajectories (tiny fixture).
 
-Run only when a solver change intentionally moves the Oracle's decisions::
+The trajectories come from the uncached reference Oracle
+(``reference_oracle.py``); ``test_oracle_cache.py`` checks the production
+Oracle against them.  Run only when a solver change intentionally moves the
+Oracle's decisions::
 
     PYTHONPATH=src:. python tests/baselines/regen_oracle_golden.py
 
@@ -12,7 +15,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments.runner import ExperimentConfig, build_simulation, make_policy
+from repro.experiments.runner import ExperimentConfig, build_simulation
+from tests.baselines.reference_oracle import ReferenceOraclePolicy
 
 MODES = ("lp", "greedy", "dual")
 OUT = Path(__file__).parent / "golden" / "oracle_modes.json"
@@ -21,9 +25,9 @@ OUT = Path(__file__).parent / "golden" / "oracle_modes.json"
 def main() -> None:
     golden: dict[str, dict] = {}
     for mode in MODES:
-        cfg = ExperimentConfig.tiny(horizon=25, oracle_mode=mode, oracle_cache=False)
+        cfg = ExperimentConfig.tiny(horizon=25, oracle_mode=mode)
         sim = build_simulation(cfg)
-        res = sim.run(make_policy("Oracle", cfg, sim.truth), 25)
+        res = sim.run(ReferenceOraclePolicy(sim.truth, mode=mode), 25)
         golden[mode] = {
             "accepted": res.accepted.astype(int).tolist(),
             "total_reward": float(res.reward.sum()),

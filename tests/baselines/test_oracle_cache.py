@@ -1,4 +1,11 @@
-"""Warm-vs-cold bit-equivalence and golden regressions for the cached Oracle."""
+"""The memoized Oracle ≡ the uncached reference Oracle, and golden regressions.
+
+The production :class:`~repro.baselines.oracle.OraclePolicy` solves every
+slot through the content-addressed solver cache; ``reference_oracle.py``
+keeps the cold dense-build/``linprog``/dict-round slot.  The two must agree
+bit for bit for every mode and window size, whether the cache starts empty
+or warm.
+"""
 
 import json
 from pathlib import Path
@@ -9,12 +16,13 @@ import pytest
 from repro.baselines.oracle import (
     OraclePolicy,
     _greedy_round,
-    _greedy_round_fast,
     build_slot_problem,
     build_slot_problem_fast,
 )
+from repro.cli import build_parser
 from repro.experiments.runner import ExperimentConfig, build_simulation, make_policy
-from repro.solvers.cache import SlotProblemCache, reset_shared_cache
+from repro.solvers.cache import SlotProblemCache, reset_shared_cache, shared_cache
+from tests.baselines.reference_oracle import ReferenceOraclePolicy, reference_greedy_round
 from tests.solvers.test_highs_direct import random_problem
 
 GOLDEN = Path(__file__).parent / "golden" / "oracle_modes.json"
@@ -26,6 +34,11 @@ def _oracle_run(cfg: ExperimentConfig, horizon: int, *, window: int | None = Non
     return sim.run(policy, horizon, window=window)
 
 
+def _reference_run(cfg: ExperimentConfig, horizon: int):
+    sim = build_simulation(cfg)
+    return sim.run(ReferenceOraclePolicy(sim.truth, mode=cfg.oracle_mode), horizon)
+
+
 def _same(a, b) -> bool:
     return bool(np.array_equal(a.reward, b.reward) and np.array_equal(a.accepted, b.accepted))
 
@@ -35,26 +48,24 @@ class TestWarmColdEquivalence:
     @pytest.mark.parametrize("window", [1, 32])
     def test_small_scale(self, mode, window):
         cfg = ExperimentConfig.small(horizon=60, oracle_mode=mode)
-        cold = _oracle_run(cfg.with_overrides(oracle_cache=False), 60)
+        cold = _reference_run(cfg, 60)
         reset_shared_cache()
-        warm = _oracle_run(cfg.with_overrides(oracle_cache=True), 60, window=window)
+        warm = _oracle_run(cfg, 60, window=window)
         assert _same(cold, warm), f"mode={mode} window={window}"
         reset_shared_cache()
 
     def test_ilp_tiny(self):
         cfg = ExperimentConfig.tiny(horizon=15, oracle_mode="ilp")
-        cold = _oracle_run(cfg.with_overrides(oracle_cache=False), 15)
+        cold = _reference_run(cfg, 15)
         reset_shared_cache()
-        warm = _oracle_run(cfg.with_overrides(oracle_cache=True), 15, window=8)
+        warm = _oracle_run(cfg, 15, window=8)
         assert _same(cold, warm)
         reset_shared_cache()
 
     def test_repeat_run_replays_from_cache(self):
-        cfg = ExperimentConfig.small(horizon=40, oracle_cache=True)
+        cfg = ExperimentConfig.small(horizon=40)
         reset_shared_cache()
         first = _oracle_run(cfg, 40)
-        from repro.solvers.cache import shared_cache
-
         before = shared_cache().stats()["assignment"]["hits"]
         again = _oracle_run(cfg, 40)
         after = shared_cache().stats()["assignment"]["hits"]
@@ -62,14 +73,33 @@ class TestWarmColdEquivalence:
         assert after - before == 40  # every slot replayed
         reset_shared_cache()
 
-    def test_pinned_cache_not_replaced_by_simulation(self):
+    def test_alpha_sweep_session(self):
+        # The fig3 α points plus the base α, all through one warm shared
+        # cache: later points reuse the α-independent pre-pass, and every
+        # run still matches the uncached reference.
+        fractions = build_parser().parse_args(["fig3"]).alpha_fractions
+        base = ExperimentConfig.small(horizon=30)
+        configs = [base] + [
+            base.with_overrides(alpha=round(f * base.capacity, 3)) for f in fractions
+        ]
+        reset_shared_cache()
+        for cfg in configs:
+            assert _same(_reference_run(cfg, 30), _oracle_run(cfg, 30)), cfg.alpha
+        assert shared_cache().stats()["achievable"]["hits"] > 0
+        reset_shared_cache()
+
+    def test_explicit_cache_is_the_one_used(self):
+        reset_shared_cache()
         own = SlotProblemCache()
         cfg = ExperimentConfig.small(horizon=5)
         sim = build_simulation(cfg)
+        assert OraclePolicy(sim.truth).cache is shared_cache()
         policy = OraclePolicy(sim.truth, cache=own)
         sim.run(policy, 5)
         assert policy.cache is own
         assert own.stats()["assignment"]["misses"] == 5
+        assert shared_cache().stats()["assignment"]["misses"] == 0
+        reset_shared_cache()
 
 
 class TestFastBuild:
@@ -106,14 +136,14 @@ class TestFastRound:
                 beta=float(rng.uniform(2.0, 8.0)),
             )
             x = rng.random(p.num_edges) * (rng.random(p.num_edges) > 0.3)
-            ref = _greedy_round(p, x)
-            fast = _greedy_round_fast(p, x)
+            ref = reference_greedy_round(p, x)
+            fast = _greedy_round(p, x)
             np.testing.assert_array_equal(fast.scn, ref.scn)
             np.testing.assert_array_equal(fast.task, ref.task)
 
     def test_empty_support(self, rng):
         p = random_problem(rng)
-        fast = _greedy_round_fast(p, np.zeros(p.num_edges))
+        fast = _greedy_round(p, np.zeros(p.num_edges))
         assert fast.scn.size == 0
 
 
@@ -128,7 +158,7 @@ class TestGoldenModes:
     @pytest.mark.parametrize("mode", ["lp", "greedy", "dual"])
     def test_assignments_match_golden(self, mode):
         golden = json.loads(GOLDEN.read_text())[mode]
-        cfg = ExperimentConfig.tiny(horizon=25, oracle_mode=mode, oracle_cache=False)
+        cfg = ExperimentConfig.tiny(horizon=25, oracle_mode=mode)
         res = _oracle_run(cfg, 25)
         assert res.accepted.astype(int).tolist() == golden["accepted"]
         assert float(res.reward.sum()) == golden["total_reward"]

@@ -36,7 +36,6 @@ def _fresh_shared_cache():
 def _cfg(**kw):
     base = dict(
         horizon=60, num_scns=3, k_min=5, k_max=10, seed=5, window=10,
-        oracle_cache=False,
     )
     base.update(kw)
     return ExperimentConfig(**base)

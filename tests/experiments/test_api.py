@@ -29,6 +29,14 @@ class TestConfigResolution:
         with pytest.raises(ValueError, match="unknown scale"):
             api.run(scale="galactic", policies=("Random",))
 
+    def test_retired_oracle_cache_override_rejected(self):
+        # The Oracle always runs through its solver cache; the old switch is
+        # an unknown override like any other, for presets and configs alike.
+        with pytest.raises(TypeError, match="oracle_cache"):
+            api.run(scale="tiny", horizon=4, policies=("Oracle",), oracle_cache=False)
+        with pytest.raises(TypeError, match="oracle_cache"):
+            api.run(ExperimentConfig.tiny(horizon=4), ("Oracle",), oracle_cache=True)
+
 
 class TestRunResult:
     def test_parity_with_run_experiment(self):

@@ -42,6 +42,7 @@ class TestParser:
             ["fleet", "--exchange-every", "0"],
             ["fleet", "--scns-per-tile", "0"],
             ["fleet", "--horizon", "0"],
+            ["fleet", "--mbs-capacity", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -276,7 +277,7 @@ class TestUnifiedOptions:
         for command in self.RUN_COMMANDS:
             args = parser.parse_args([command])
             for dest in ("window", "trace",
-                         "trace_sample", "manifest_dir", "no_oracle_cache"):
+                         "trace_sample", "manifest_dir", "cache_dir"):
                 assert hasattr(args, dest), f"{command} lacks --{dest}"
 
     def test_trace_subcommand_opts_out(self):
@@ -294,17 +295,10 @@ class TestUnifiedOptions:
                 main([command, "--help"])
             assert "--engine" not in capsys.readouterr().out
 
-    def test_no_oracle_cache_flows_into_config(self):
-        from repro.cli import _config_from_args
-
-        args = build_parser().parse_args(["run", "--no-oracle-cache"])
-        assert _config_from_args(args).oracle_cache is False
-        args = build_parser().parse_args(["run"])
-        assert _config_from_args(args).oracle_cache is True
-
     def test_removed_aliases_exit_with_usage_error(self, capsys):
         for argv in (["--trace-path", "t.jsonl"], ["--sample-every", "3"],
-                     ["--result-transport", "pickle"], ["--transport", "pickle"]):
+                     ["--result-transport", "pickle"], ["--transport", "pickle"],
+                     ["--no-oracle-cache"]):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(["run", *argv])
             assert exc.value.code == 2, argv[0]

@@ -90,6 +90,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="window"):
             FleetConfig(window=-1)
 
+    def test_negative_mbs_capacity(self):
+        # 0 disables the MBS tier; a negative capacity is an input error,
+        # not another way to switch the tier off.
+        with pytest.raises(ValueError, match="mbs_capacity"):
+            FleetConfig(mbs_capacity=-1)
+        assert FleetConfig(mbs_capacity=0).mbs_capacity == 0
+
     def test_sampler_skips_mobility_constraint(self):
         cfg = FleetConfig(coverage="sampler", exchange_every=100)
         assert cfg.independent
@@ -120,7 +127,6 @@ class TestTileConfig:
 
     def test_cross_run_caches_stood_down(self):
         tc = FleetConfig().tile_config(0)
-        assert tc.oracle_cache is False
         assert tc.shared_window is False
 
     def test_pure_function_of_config_and_tile(self):

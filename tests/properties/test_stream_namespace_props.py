@@ -131,7 +131,7 @@ def _run_spied(policy_name: str, alpha: float, monkeypatch):
     monkeypatch.setattr(rng_mod.RngFactory, "env", spy)
     cfg = ExperimentConfig(
         horizon=30, num_scns=3, k_min=4, k_max=8, seed=11, alpha=alpha,
-        shared_window=False, oracle_cache=False,
+        shared_window=False,
     )
     sim = build_simulation(cfg)
     policy = make_policy(policy_name, cfg, sim.truth)

@@ -21,6 +21,7 @@ from repro.service import (
     CheckpointFormatError,
     CheckpointIntegrityError,
     OnlineSession,
+    config_from_dict,
     deserialize_checkpoint,
     read_checkpoint,
     serialize_checkpoint,
@@ -256,3 +257,41 @@ def test_lfsc_block_fails_closed(mutate, rejected, tmp_path):
     for name in ("reward", "expected_reward", "accepted", "violation_qos", "violation_resource"):
         assert np.array_equal(getattr(straight.result(), name), getattr(resumed.result(), name))
     assert np.array_equal(straight.policy.log_w, resumed.policy.log_w)
+
+
+# -- the retired Oracle solver-cache switch ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, rejected",
+    [
+        # Checkpoints written while the Oracle's solver cache could be
+        # switched off; both settings ran the same trajectory.
+        pytest.param(True, False, id="legacy-oracle-cache-true"),
+        pytest.param(False, False, id="legacy-oracle-cache-false"),
+        pytest.param("off", True, id="bad-oracle-cache-type"),
+    ],
+)
+def test_legacy_oracle_cache_key(value, rejected, tmp_path):
+    cfg = ExperimentConfig.tiny(horizon=8)
+    session = OnlineSession(cfg, "Oracle")
+    session.run(4)
+    path = session.save(tmp_path / "ck.bin")
+    header, arrays = read_checkpoint(path)
+    header["config"]["oracle_cache"] = value
+    write_checkpoint(path, header, arrays)
+
+    if rejected:
+        with pytest.raises(CheckpointFormatError, match="oracle_cache"):
+            OnlineSession.from_checkpoint(path)
+        return
+    straight = OnlineSession(cfg, "Oracle").run()
+    resumed = OnlineSession.from_checkpoint(path).run()
+    for name in ("reward", "expected_reward", "accepted", "violation_qos", "violation_resource"):
+        assert np.array_equal(getattr(straight.result(), name), getattr(resumed.result(), name))
+
+
+@pytest.mark.parametrize("doc", [["seed"], "seed", 7], ids=["list", "str", "int"])
+def test_non_mapping_config_fails_closed(doc):
+    with pytest.raises(CheckpointFormatError, match="not a mapping"):
+        config_from_dict(doc)

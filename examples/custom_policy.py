@@ -1,15 +1,24 @@
 """Extending the framework: plug in your own offloading policy.
 
-Implements a deliberately simple "sticky greedy" policy against the public
-:class:`repro.OffloadingPolicy` API — it remembers the empirically best
-hypercube per SCN and always requests tasks from it first — and benchmarks
-it against LFSC and Random on the same workload.
+Implements a deliberately simple "sticky greedy" policy on
+:class:`repro.baselines.CubeMeanPolicy` — the base vUCB, FML, ε-greedy and
+Thompson share — which remembers the empirically best hypercube per SCN
+and always requests tasks from it first, and benchmarks it against LFSC
+and Random on the same workload.
 
-The exercise shows the full policy contract:
-- ``reset(network, horizon, rng)`` — allocate state;
-- ``select(slot) -> Assignment`` — honour capacity (1a) and uniqueness (1b),
-  easiest via :func:`repro.core.greedy.greedy_select`;
-- ``update(slot, feedback)`` — consume bandit feedback.
+The base class carries the whole policy contract:
+- ``reset(network, horizon, rng)`` — allocates the per-(SCN, hypercube)
+  statistics;
+- ``select(slot) -> Assignment`` — lays the slot out as one flat edge list
+  (``repro.env.window.slot_layout``), asks :meth:`edge_weights` for one
+  weight per edge, and lets the Alg. 4 greedy honour capacity (1a) and
+  uniqueness (1b);
+- ``update(slot, feedback)`` — folds the bandit feedback into the
+  statistics; ``checkpoint_state`` saves them.
+
+A subclass only turns statistics into edge weights.  A policy with other
+state derives from :class:`repro.OffloadingPolicy` instead and implements
+``select`` and ``_update`` itself.
 
 Usage:
     python examples/custom_policy.py
@@ -19,19 +28,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
-    ContextPartition,
-    ExperimentConfig,
-    OffloadingPolicy,
-    comparison_rows,
-    format_table,
-)
-from repro.core.estimators import CubeStatistics
-from repro.core.greedy import greedy_select
+from repro import ExperimentConfig, comparison_rows, format_table
+from repro.baselines import CubeMeanPolicy
 from repro.experiments.runner import build_simulation, make_policy
 
 
-class StickyGreedyPolicy(OffloadingPolicy):
+class StickyGreedyPolicy(CubeMeanPolicy):
     """Exploit the best-known hypercube; explore only via initial coverage.
 
     A purposely naive learner: each SCN scores a task by the sample-mean
@@ -41,43 +43,17 @@ class StickyGreedyPolicy(OffloadingPolicy):
     """
 
     name = "sticky-greedy"
+    spans = ("sticky.score", "sticky.greedy")
 
-    def __init__(self, partition: ContextPartition | None = None, optimism: float = 1.0):
-        super().__init__()
-        self.partition = partition or ContextPartition()
+    def __init__(self, partition=None, optimism: float = 1.0):
+        super().__init__(partition)
         self.optimism = optimism
-        self.stats: CubeStatistics | None = None
-        self._cubes: list[np.ndarray] | None = None
 
-    def reset(self, network, horizon, rng):
-        super().reset(network, horizon, rng)
-        self.stats = CubeStatistics(network.num_scns, self.partition.num_cubes)
-
-    def select(self, slot):
-        network = self._require_reset()
-        scores = self.stats.mean_g.copy()
-        scores[self.stats.counts == 0] = self.optimism
-        self._cubes = []
-        weights = []
-        for m, cov in enumerate(slot.coverage):
-            cov = np.asarray(cov, dtype=np.int64)
-            cubes = self.partition.assign(slot.tasks.contexts[cov]) if cov.size else cov
-            self._cubes.append(cubes)
-            weights.append(scores[m, cubes] if cov.size else np.empty(0))
-        return greedy_select(slot.coverage, weights, network.capacity, len(slot.tasks))
-
-    def _update(self, slot, feedback):
-        asn = feedback.assignment
-        if len(asn) == 0:
-            return
-        cubes = np.empty(len(asn), dtype=np.int64)
-        for m in np.unique(asn.scn):
-            rows = np.flatnonzero(asn.scn == m)
-            cov = np.asarray(slot.coverage[m], dtype=np.int64)
-            sorter = np.argsort(cov)
-            pos = sorter[np.searchsorted(cov, asn.task[rows], sorter=sorter)]
-            cubes[rows] = self._cubes[m][pos]
-        self.stats.observe(asn.scn, cubes, feedback.g, feedback.v, feedback.q)
+    def edge_weights(self, pre):
+        # pre.flat indexes each edge's (SCN, hypercube) cell of the (M, F)
+        # statistics, flattened.
+        scores = np.where(self.stats.counts == 0, self.optimism, self.stats.mean_g)
+        return scores.reshape(-1)[pre.flat]
 
 
 def main() -> None:

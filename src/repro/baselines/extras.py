@@ -7,72 +7,25 @@
   hypercube means (posterior ~ N(mean, scale²/(N+1))), a randomized
   exploration alternative.
 
-Both reuse the hypercube discretization and the greedy coordination, so the
-comparison isolates the exploration strategy.
+Both share vUCB/FML's body (:class:`~repro.baselines.cube_mean.CubeMeanPolicy`:
+hypercube statistics, slot layout, greedy coordination), so the comparison
+isolates the exploration strategy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import OffloadingPolicy
-from repro.core.estimators import CubeStatistics
-from repro.core.greedy import greedy_select
+from repro.baselines.cube_mean import CubeMeanPolicy
 from repro.core.hypercube import ContextPartition
-from repro.env.network import NetworkConfig
-from repro.env.simulator import Assignment, SlotFeedback, SlotObservation
-from repro.obs import runtime as obs_runtime
+from repro.env.window import SlotEdges
 from repro.utils.validation import check_positive, require
 
 
 __all__ = ["EpsilonGreedyPolicy", "ThompsonSamplingPolicy"]
 
 
-class _MeanLearningPolicy(OffloadingPolicy):
-    """Shared plumbing: hypercube stats + cached cube classification."""
-
-    def __init__(self, partition: ContextPartition | None = None) -> None:
-        super().__init__()
-        self.partition = partition if partition is not None else ContextPartition()
-        self.stats: CubeStatistics | None = None
-        self._cache: tuple[int, list[np.ndarray]] | None = None
-
-    def reset(self, network: NetworkConfig, horizon: int, rng: np.random.Generator) -> None:
-        super().reset(network, horizon, rng)
-        self.stats = CubeStatistics(
-            num_scns=network.num_scns, num_cubes=self.partition.num_cubes
-        )
-
-    def _classify(self, slot: SlotObservation) -> list[np.ndarray]:
-        cubes_per_scn = []
-        for cov in slot.coverage:
-            cov = np.asarray(cov, dtype=np.int64)
-            cubes_per_scn.append(
-                self.partition.assign(slot.tasks.contexts[cov]) if cov.size else cov
-            )
-        self._cache = (slot.t, cubes_per_scn)
-        return cubes_per_scn
-
-    def _update(self, slot: SlotObservation, feedback: SlotFeedback) -> None:
-        assert self.stats is not None
-        cache = self._cache
-        if cache is None or cache[0] != slot.t:
-            raise RuntimeError("update() must follow the select() of the same slot")
-        asn = feedback.assignment
-        if len(asn) == 0:
-            return
-        cubes = np.empty(len(asn), dtype=np.int64)
-        for m in np.unique(asn.scn):
-            rows = np.flatnonzero(asn.scn == m)
-            cov = np.asarray(slot.coverage[m], dtype=np.int64)
-            sorter = np.argsort(cov)
-            pos = sorter[np.searchsorted(cov, asn.task[rows], sorter=sorter)]
-            cubes[rows] = cache[1][m][pos]
-        self.stats.observe(asn.scn, cubes, feedback.g, feedback.v, feedback.q)
-        self._cache = None
-
-
-class EpsilonGreedyPolicy(_MeanLearningPolicy):
+class EpsilonGreedyPolicy(CubeMeanPolicy):
     """Decaying-ε greedy over hypercube sample means.
 
     With probability ε_t = min(1, epsilon0·F/max(t,1)) a SCN's edge weights
@@ -82,6 +35,7 @@ class EpsilonGreedyPolicy(_MeanLearningPolicy):
     """
 
     name = "eps-greedy"
+    spans = ("eps_greedy.score", "eps_greedy.greedy")
 
     def __init__(
         self,
@@ -97,25 +51,21 @@ class EpsilonGreedyPolicy(_MeanLearningPolicy):
         """Current exploration probability."""
         return min(1.0, self.epsilon0 * self.partition.num_cubes / max(self.t, 1))
 
-    def select(self, slot: SlotObservation) -> Assignment:
-        network = self._require_reset()
+    def edge_weights(self, pre: SlotEdges) -> np.ndarray:
         assert self.stats is not None
-        with obs_runtime.span("eps_greedy.score"):
-            cubes_per_scn = self._classify(slot)
-            eps = self.epsilon()
-            weights = []
-            for m, cubes in enumerate(cubes_per_scn):
-                if cubes.size == 0:
-                    weights.append(np.empty(0))
-                elif self.rng.random() < eps:
-                    weights.append(self.rng.random(cubes.size))
-                else:
-                    weights.append(self.stats.mean_g[m, cubes])
-        with obs_runtime.span("eps_greedy.greedy"):
-            return greedy_select(slot.coverage, weights, network.capacity, len(slot.tasks))
+        eps = self.epsilon()
+        weights = self.stats.mean_g.reshape(-1)[pre.flat]
+        bounds = pre.bounds
+        # Per SCN with coverage: the coin, then (on exploration) its draws —
+        # the coin decides whether draws follow, so this stays a loop.
+        for m in range(pre.num_segments):
+            lo, hi = bounds[m], bounds[m + 1]
+            if hi > lo and self.rng.random() < eps:
+                weights[lo:hi] = self.rng.random(hi - lo)
+        return weights
 
 
-class ThompsonSamplingPolicy(_MeanLearningPolicy):
+class ThompsonSamplingPolicy(CubeMeanPolicy):
     """Gaussian Thompson sampling on hypercube mean rewards.
 
     Each slot, every (SCN, cube) pair draws a plausible mean
@@ -124,6 +74,7 @@ class ThompsonSamplingPolicy(_MeanLearningPolicy):
     """
 
     name = "thompson"
+    spans = ("thompson.score", "thompson.greedy")
 
     def __init__(
         self,
@@ -135,16 +86,8 @@ class ThompsonSamplingPolicy(_MeanLearningPolicy):
         require(scale > 0, f"scale must be > 0, got {scale}")
         self.scale = float(scale)
 
-    def select(self, slot: SlotObservation) -> Assignment:
-        network = self._require_reset()
+    def edge_weights(self, pre: SlotEdges) -> np.ndarray:
         assert self.stats is not None
-        with obs_runtime.span("thompson.score"):
-            std = self.scale / np.sqrt(self.stats.counts + 1.0)
-            draws = self.rng.normal(self.stats.mean_g, std)
-            cubes_per_scn = self._classify(slot)
-            weights = [
-                draws[m, cubes] if cubes.size else np.empty(0)
-                for m, cubes in enumerate(cubes_per_scn)
-            ]
-        with obs_runtime.span("thompson.greedy"):
-            return greedy_select(slot.coverage, weights, network.capacity, len(slot.tasks))
+        std = self.scale / np.sqrt(self.stats.counts + 1.0)
+        draws = self.rng.normal(self.stats.mean_g, std)
+        return draws.reshape(-1)[pre.flat]

@@ -18,18 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import OffloadingPolicy
-from repro.core.estimators import CubeStatistics
-from repro.core.greedy import greedy_select
+from repro.baselines.cube_mean import CubeMeanPolicy
 from repro.core.hypercube import ContextPartition
-from repro.env.network import NetworkConfig
-from repro.env.simulator import Assignment, SlotFeedback, SlotObservation
-from repro.obs import runtime as obs_runtime
+from repro.env.window import SlotEdges
 
 __all__ = ["FMLPolicy"]
 
 
-class FMLPolicy(OffloadingPolicy):
+class FMLPolicy(CubeMeanPolicy):
     """Context-aware explore/exploit with a control function + greedy.
 
     Parameters
@@ -42,74 +38,31 @@ class FMLPolicy(OffloadingPolicy):
     """
 
     name = "FML"
+    spans = ("fml.score", "fml.greedy")
 
     def __init__(
         self, partition: ContextPartition | None = None, *, z: float | None = None
     ) -> None:
-        super().__init__()
-        self.partition = partition if partition is not None else ContextPartition()
+        super().__init__(partition)
         self.z = 2.0 / (3.0 + self.partition.dims) if z is None else float(z)
         if not 0.0 < self.z < 1.0:
             raise ValueError(f"z must be in (0, 1), got {self.z}")
-        self.stats: CubeStatistics | None = None
-        self._cache: tuple[int, list[np.ndarray]] | None = None
-
-    def reset(self, network: NetworkConfig, horizon: int, rng: np.random.Generator) -> None:
-        super().reset(network, horizon, rng)
-        self.stats = CubeStatistics(
-            num_scns=network.num_scns, num_cubes=self.partition.num_cubes
-        )
 
     def control_level(self) -> float:
         """The exploration threshold t^z · ln t at the current slot."""
         t = max(self.t, 2)
         return float(t**self.z * np.log(t))
 
-    def select(self, slot: SlotObservation) -> Assignment:
-        network = self._require_reset()
+    def edge_weights(self, pre: SlotEdges) -> np.ndarray:
         assert self.stats is not None
-        with obs_runtime.span("fml.score"):
-            level = self.control_level()
-            under = self.stats.counts < level  # (M, F) — cubes still exploring
-            mean_g = self.stats.mean_g
-            # Exploit scores live in [0, g_max]; under-explored cubes are lifted
-            # above them by a constant offset plus a random perturbation so that
-            # exploration picks among them uniformly at random.
-            g_ceiling = float(mean_g.max(initial=0.0)) + 1.0
-
-            weights: list[np.ndarray] = []
-            cubes_per_scn: list[np.ndarray] = []
-            for m, cov in enumerate(slot.coverage):
-                cov = np.asarray(cov, dtype=np.int64)
-                cubes = self.partition.assign(slot.tasks.contexts[cov]) if cov.size else cov
-                cubes_per_scn.append(cubes)
-                if cov.size == 0:
-                    weights.append(np.empty(0))
-                    continue
-                score = mean_g[m, cubes].astype(float)
-                explore = under[m, cubes]
-                if np.any(explore):
-                    score = score.copy()
-                    score[explore] = g_ceiling + self.rng.random(int(explore.sum()))
-                weights.append(score)
-        self._cache = (slot.t, cubes_per_scn)
-        with obs_runtime.span("fml.greedy"):
-            return greedy_select(slot.coverage, weights, network.capacity, len(slot.tasks))
-
-    def _update(self, slot: SlotObservation, feedback: SlotFeedback) -> None:
-        assert self.stats is not None
-        cache = self._cache
-        if cache is None or cache[0] != slot.t:
-            raise RuntimeError("update() must follow the select() of the same slot")
-        asn = feedback.assignment
-        if len(asn) == 0:
-            return
-        cubes = np.empty(len(asn), dtype=np.int64)
-        for m in np.unique(asn.scn):
-            rows = np.flatnonzero(asn.scn == m)
-            cov = np.asarray(slot.coverage[m], dtype=np.int64)
-            sorter = np.argsort(cov)
-            pos = sorter[np.searchsorted(cov, asn.task[rows], sorter=sorter)]
-            cubes[rows] = cache[1][m][pos]
-        self.stats.observe(asn.scn, cubes, feedback.g, feedback.v, feedback.q)
-        self._cache = None
+        mean_g = self.stats.mean_g
+        # Exploit scores live in [0, g_max]; under-explored cubes are lifted
+        # above them by a constant offset plus a random perturbation so that
+        # exploration picks among them uniformly at random.
+        g_ceiling = float(mean_g.max(initial=0.0)) + 1.0
+        score = mean_g.reshape(-1)[pre.flat]
+        explore = (self.stats.counts < self.control_level()).reshape(-1)[pre.flat]
+        # One draw over every exploring edge in edge order consumes the
+        # stream exactly as one draw per SCN segment would.
+        score[explore] = g_ceiling + self.rng.random(int(np.count_nonzero(explore)))
+        return score

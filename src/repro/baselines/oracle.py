@@ -31,12 +31,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import OffloadingPolicy
-from repro.core.greedy import greedy_select
+from repro.core.greedy import greedy_select_edges
+from repro.env.network import NetworkConfig
 from repro.env.processes import GroundTruth
 from repro.obs import runtime as obs_runtime
 from repro.env.simulator import Assignment, SlotFeedback, SlotObservation
+from repro.env.window import slot_layout
+from repro.solvers import highs
 from repro.solvers.cache import SlotProblemCache, shared_cache
-from repro.solvers.highs import solve_soft_qos
 from repro.solvers.ilp import solve_two_stage_ilp
 from repro.solvers.lagrangian import solve_dual_decomposition
 from repro.solvers.lp import SlotProblem
@@ -53,17 +55,16 @@ __all__ = [
 def build_slot_problem(
     slot: SlotObservation, truth: GroundTruth, capacity: int, alpha: float, beta: float
 ) -> SlotProblem:
-    """Assemble the edge-form per-slot problem from the ground-truth means."""
+    """Assemble the edge-form per-slot problem from the ground-truth means.
+
+    The edges are the slot's :func:`~repro.env.window.slot_layout`: SCN
+    segments in order, tasks sorted within each.
+    """
     contexts = slot.tasks.contexts
     exp_g = truth.expected_compound(slot.t, contexts)
     mu_u, p_v, mu_q = truth.means(slot.t, contexts)
-    scn_parts, task_parts = [], []
-    for m, cov in enumerate(slot.coverage):
-        cov = np.asarray(cov, dtype=np.int64)
-        scn_parts.append(np.full(cov.size, m, dtype=np.int64))
-        task_parts.append(cov)
-    edge_scn = np.concatenate(scn_parts) if scn_parts else np.empty(0, np.int64)
-    edge_task = np.concatenate(task_parts) if task_parts else np.empty(0, np.int64)
+    edges = slot_layout(slot).edges
+    edge_scn, edge_task = edges.scn, edges.task
     return SlotProblem(
         edge_scn=edge_scn,
         edge_task=edge_task,
@@ -83,31 +84,19 @@ def build_slot_problem_fast(
 ) -> SlotProblem:
     """Assemble the slot problem without dense ``(M, n)`` truth tables.
 
-    Bit-identical to :func:`build_slot_problem` (the pair-wise truth lookups
+    Bit-identical to :func:`build_slot_problem` on the slot's
+    :func:`~repro.env.window.slot_layout` (the pair-wise truth lookups
     gather the same grid cells with the same arithmetic — test-gated), but
     evaluates only the E coverage edges instead of the full M×n tables, and
-    reuses a windowed slot's precomputed edge arrays and truth cells when
-    present.  Truths without the pair API (``slot_pair_stats``) take the
-    dense build.
+    reuses a windowed slot's truth cells when present.  Truths without the
+    pair API (``slot_pair_stats``) take the dense build.
     """
+    slot = slot_layout(slot)
     stats_fn = getattr(truth, "slot_pair_stats", None)
     if stats_fn is None:
         return build_slot_problem(slot, truth, capacity, alpha, beta)
     n = len(slot.tasks)
-    edges = getattr(slot, "edges", None)
-    if edges is not None and edges.num_tasks == n:
-        # Windowed slots: coverage was (segment-sorted and) concatenated at
-        # precompute time; the slot's coverage lists alias the same arrays.
-        edge_scn, edge_task = edges.scn, edges.task
-    else:
-        cov_parts = [np.asarray(c, dtype=np.int64) for c in slot.coverage]
-        lengths = np.fromiter(
-            (c.shape[0] for c in cov_parts), dtype=np.int64, count=len(cov_parts)
-        )
-        edge_scn = np.repeat(np.arange(len(cov_parts), dtype=np.int64), lengths)
-        edge_task = (
-            np.concatenate(cov_parts) if cov_parts else np.empty(0, np.int64)
-        )
+    edge_scn, edge_task = slot.edges.scn, slot.edges.task
     truth_cells = getattr(slot, "truth_cells", None)
     cells = truth_cells[edge_task] if truth_cells is not None else None
     exp_g, p_v, mu_q = stats_fn(
@@ -139,21 +128,15 @@ def _greedy_round(problem: SlotProblem, x: np.ndarray) -> Assignment:
     expected consumption still exceeds β (the LP satisfied β fractionally,
     rounding can overshoot by at most one task's worth).  Relies on the
     build invariant that ``edge_scn`` is non-decreasing (edges are
-    concatenated per SCN): the per-SCN support scan is one bincount split,
-    and the β-pruning row lookup is a sorted key.
+    concatenated per SCN): the support rows feed the greedy in per-SCN
+    order, and the β-pruning row lookup is a sorted key.
     """
-    support = x > 1e-6
-    sup_rows = np.flatnonzero(support)
-    # Split the (ascending) support rows into per-SCN runs.
-    counts = np.bincount(problem.edge_scn[sup_rows], minlength=problem.num_scns)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    coverage: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for m in range(problem.num_scns):
-        rows = sup_rows[bounds[m] : bounds[m + 1]]
-        coverage.append(problem.edge_task[rows])
-        weights.append(x[rows])
-    assignment = greedy_select(coverage, weights, problem.capacity, problem.num_tasks)
+    # The support rows, ascending, are already grouped into per-SCN runs.
+    sup_rows = np.flatnonzero(x > 1e-6)
+    assignment = greedy_select_edges(
+        problem.edge_scn[sup_rows], problem.edge_task[sup_rows], x[sup_rows],
+        problem.num_scns, problem.capacity, problem.num_tasks,
+    )
     if len(assignment) == 0:
         return assignment
 
@@ -217,6 +200,15 @@ class OraclePolicy(OffloadingPolicy):
         self.name = "Oracle" if mode == "lp" else f"Oracle-{mode}"
         self.cache = shared_cache() if cache is None else cache
 
+    def reset(self, network: NetworkConfig, horizon: int, rng: np.random.Generator) -> None:
+        super().reset(network, horizon, rng)
+        # Load the mode's solver backend here, so the first decide does not
+        # carry its import: the direct HiGHS core for "lp" (linprog when it
+        # is missing), scipy's MILP for "ilp"; "greedy" and "dual" need none.
+        if self.mode == "ilp" or (self.mode == "lp" and not highs.HAVE_DIRECT_HIGHS):
+            import scipy.optimize  # noqa: F401
+            import scipy.sparse  # noqa: F401
+
     def select(self, slot: SlotObservation) -> Assignment:
         network = self._require_reset()
         cache = self.cache
@@ -243,7 +235,7 @@ class OraclePolicy(OffloadingPolicy):
         elif self.mode == "lp":
             achievable = cache.achievable(sig)
             with obs_runtime.span("oracle.solve"):
-                sol, achievable = solve_soft_qos(problem, achievable=achievable)
+                sol, achievable = highs.solve_soft_qos(problem, achievable=achievable)
             cache.store_achievable(sig, achievable)
             if sol.feasible:
                 with obs_runtime.span("oracle.round"):
@@ -305,6 +297,9 @@ class UnconstrainedOraclePolicy(OffloadingPolicy):
 
     def select(self, slot: SlotObservation) -> Assignment:
         network = self._require_reset()
+        pre = slot_layout(slot).edges
         exp_g = self.truth.expected_compound(slot.t, slot.tasks.contexts)
-        weights = [exp_g[m, np.asarray(cov, dtype=np.int64)] for m, cov in enumerate(slot.coverage)]
-        return greedy_select(slot.coverage, weights, network.capacity, len(slot.tasks))
+        return greedy_select_edges(
+            pre.scn, pre.task, exp_g[pre.scn, pre.task], network.num_scns,
+            network.capacity, pre.num_tasks,
+        )

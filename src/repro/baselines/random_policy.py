@@ -10,11 +10,10 @@ relative orderings.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import OffloadingPolicy
-from repro.core.greedy import greedy_select
+from repro.core.greedy import greedy_select_edges
 from repro.env.simulator import Assignment, SlotObservation
+from repro.env.window import slot_layout
 
 __all__ = ["RandomPolicy"]
 
@@ -26,7 +25,9 @@ class RandomPolicy(OffloadingPolicy):
 
     def select(self, slot: SlotObservation) -> Assignment:
         network = self._require_reset()
-        weights = [
-            self.rng.random(len(np.asarray(cov))) for cov in slot.coverage
-        ]
-        return greedy_select(slot.coverage, weights, network.capacity, len(slot.tasks))
+        pre = slot_layout(slot).edges
+        # One draw over the edge list equals one draw per SCN segment.
+        weights = self.rng.random(pre.num_edges)
+        return greedy_select_edges(
+            pre.scn, pre.task, weights, network.num_scns, network.capacity, pre.num_tasks
+        )

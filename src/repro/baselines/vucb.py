@@ -19,18 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import OffloadingPolicy
-from repro.core.estimators import CubeStatistics
-from repro.core.greedy import greedy_select
+from repro.baselines.cube_mean import CubeMeanPolicy
 from repro.core.hypercube import ContextPartition
-from repro.env.network import NetworkConfig
-from repro.env.simulator import Assignment, SlotFeedback, SlotObservation
-from repro.obs import runtime as obs_runtime
+from repro.env.window import SlotEdges
 
 __all__ = ["VUCBPolicy"]
 
 
-class VUCBPolicy(OffloadingPolicy):
+class VUCBPolicy(CubeMeanPolicy):
     """UCB1-per-hypercube with greedy multi-SCN coordination.
 
     Parameters
@@ -42,60 +38,21 @@ class VUCBPolicy(OffloadingPolicy):
     """
 
     name = "vUCB"
+    spans = ("vucb.index", "vucb.greedy")
 
     def __init__(
         self, partition: ContextPartition | None = None, *, exploration: float = 2.0
     ) -> None:
-        super().__init__()
-        self.partition = partition if partition is not None else ContextPartition()
+        super().__init__(partition)
         self.exploration = float(exploration)
-        self.stats: CubeStatistics | None = None
-        self._cache: tuple[int, list[np.ndarray]] | None = None
 
-    def reset(self, network: NetworkConfig, horizon: int, rng: np.random.Generator) -> None:
-        super().reset(network, horizon, rng)
-        self.stats = CubeStatistics(
-            num_scns=network.num_scns, num_cubes=self.partition.num_cubes
-        )
-
-    def select(self, slot: SlotObservation) -> Assignment:
-        network = self._require_reset()
+    def edge_weights(self, pre: SlotEdges) -> np.ndarray:
         assert self.stats is not None
-        with obs_runtime.span("vucb.index"):
-            index = self.stats.ucb_index(max(self.t, 1), exploration=self.exploration)
-            # Replace +inf by a finite value above every real index so argsort
-            # ordering is well-defined and unvisited cubes are tried first.
-            finite_max = np.nanmax(np.where(np.isfinite(index), index, -np.inf))
-            if not np.isfinite(finite_max):
-                finite_max = 1.0
-            index = np.where(np.isfinite(index), index, finite_max + 1.0)
-
-            cubes_per_scn: list[np.ndarray] = []
-            weights: list[np.ndarray] = []
-            for m, cov in enumerate(slot.coverage):
-                cov = np.asarray(cov, dtype=np.int64)
-                cubes = self.partition.assign(slot.tasks.contexts[cov]) if cov.size else cov
-                cubes_per_scn.append(cubes)
-                weights.append(index[m, cubes] if cov.size else np.empty(0))
-        self._cache = (slot.t, cubes_per_scn)
-        with obs_runtime.span("vucb.greedy"):
-            return greedy_select(slot.coverage, weights, network.capacity, len(slot.tasks))
-
-    def _update(self, slot: SlotObservation, feedback: SlotFeedback) -> None:
-        assert self.stats is not None
-        cache = self._cache
-        if cache is None or cache[0] != slot.t:
-            raise RuntimeError("update() must follow the select() of the same slot")
-        asn = feedback.assignment
-        if len(asn) == 0:
-            return
-        # Recover each pair's cube from the cached per-SCN classification.
-        cubes = np.empty(len(asn), dtype=np.int64)
-        for m in np.unique(asn.scn):
-            rows = np.flatnonzero(asn.scn == m)
-            cov = np.asarray(slot.coverage[m], dtype=np.int64)
-            sorter = np.argsort(cov)
-            pos = sorter[np.searchsorted(cov, asn.task[rows], sorter=sorter)]
-            cubes[rows] = cache[1][m][pos]
-        self.stats.observe(asn.scn, cubes, feedback.g, feedback.v, feedback.q)
-        self._cache = None
+        index = self.stats.ucb_index(max(self.t, 1), exploration=self.exploration)
+        # Replace +inf by a finite value above every real index so argsort
+        # ordering is well-defined and unvisited cubes are tried first.
+        finite_max = np.nanmax(np.where(np.isfinite(index), index, -np.inf))
+        if not np.isfinite(finite_max):
+            finite_max = 1.0
+        index = np.where(np.isfinite(index), index, finite_max + 1.0)
+        return index.reshape(-1)[pre.flat]

@@ -19,11 +19,10 @@ bookkeeping uses a ``bytearray``/list (not ndarrays) for the same reason, the
 output arrays are preallocated at the matching-size bound min(n, M·c), and
 the pass exits early once that bound is reached.
 
-Two entry points share the kernel: :func:`greedy_select` takes the per-SCN
-coverage/weight lists the baselines (Oracle, vUCB, FML, Random and the
-extras) produce, and :func:`greedy_select_edges` takes the flat edge list
-LFSC's slot kernel and the learned tier already hold (skipping the
-concatenation).
+Two entry points share the kernel: :func:`greedy_select_edges` takes the
+flat edge list every policy already holds (the slot's
+:func:`~repro.env.window.slot_layout`), and :func:`greedy_select` takes
+per-SCN coverage/weight lists and concatenates them first.
 """
 
 from __future__ import annotations

@@ -34,7 +34,12 @@ import numpy as np
 from repro.env.channel import BlockageChannel
 from repro.env.network import NetworkConfig
 from repro.env.processes import GroundTruth
-from repro.env.window import precompute_eligibility, precompute_slots, precompute_window
+from repro.env.window import (
+    precompute_eligibility,
+    precompute_slots,
+    precompute_window,
+    slot_layout,
+)
 from repro.env.window_cache import cached_window, window_key_base
 from repro.env.workload import SlotWorkload, Workload
 from repro.obs import metrics as obs_metrics
@@ -113,35 +118,15 @@ class Assignment:
             raise ValueError(
                 f"constraint (1a) violated: SCN {worst} assigned {counts[worst]} > c={capacity}"
             )
-        # Coverage membership for all pairs at once: encode (scn, task) as
-        # scn·n + task, sort the coverage keys once, and check each pair by
-        # sorted membership — one searchsorted instead of an isin per SCN.
-        edges = getattr(slot, "edges", None)
-        if edges is not None and edges.num_tasks == n:
-            # Windowed slots carry the sorted key already (segments in SCN
-            # order, tasks sorted within) — skip the rebuild + sort.
-            cov_key = edges.key
-            if cov_key.size == 0:
-                raise ValueError(
-                    f"SCN {int(self.scn.min())} assigned a task outside its coverage"
-                )
-            pair_key = self.scn * np.int64(n) + self.task
-            pos = np.searchsorted(cov_key, pair_key)
-            ok = cov_key[np.minimum(pos, cov_key.size - 1)] == pair_key
-            if not ok.all():
-                raise ValueError(
-                    f"SCN {int(self.scn[~ok].min())} assigned a task outside its coverage"
-                )
-            return
-        cov_parts = [np.asarray(c, dtype=np.int64) for c in slot.coverage]
-        lengths = np.fromiter((c.shape[0] for c in cov_parts), dtype=np.int64, count=len(cov_parts))
-        if lengths.sum() == 0:
+        # Coverage membership for all pairs at once: the slot layout's
+        # (scn·n + task) key is sorted (segments in SCN order, tasks sorted
+        # within; a windowed slot carries it prebuilt), so each pair is one
+        # searchsorted away instead of an isin per SCN.
+        cov_key = slot_layout(slot).edges.key
+        if cov_key.size == 0:
             raise ValueError(
                 f"SCN {int(self.scn.min())} assigned a task outside its coverage"
             )
-        cov_key = np.repeat(np.arange(len(cov_parts), dtype=np.int64), lengths) * n
-        cov_key += np.concatenate(cov_parts)
-        cov_key.sort()
         pair_key = self.scn * np.int64(n) + self.task
         pos = np.searchsorted(cov_key, pair_key)
         ok = cov_key[np.minimum(pos, cov_key.size - 1)] == pair_key

@@ -16,14 +16,21 @@ vectorized pass:
   partition — plus the ground-truth grid cell per task.  Cube and cell
   classification run *once* over all the slots' concatenated contexts.  The
   online session runs it on every slot it serves (W = 1), including slots
-  built from external arrivals, and the batched LFSC select runs it on any
-  slot that arrives without a usable layout.
+  built from external arrivals.
+- :func:`slot_layout` is how every policy reads its slot: it hands back the
+  slot with a :class:`SlotEdges` that fits it — the window's own when it
+  matches, else derived here through :func:`precompute_slots` or
+  :func:`classify_edges`.  A ``window=0`` slot, a slot a wrapper rewrote
+  and a windowed slot therefore reach the policy in one sorted edge order,
+  which is what makes windowed ≡ per-slot hold for every policy, also on
+  traces whose coverage lists are unsorted.
 - :func:`precompute_eligibility` is the one rule for whether a slot loop
   precomputes slots for a policy, and with which partition.
 - :class:`PrecomputedSlot` is a :class:`~repro.env.workload.SlotWorkload`
-  that carries the precomputed extras; consumers discover them by duck
-  typing (``getattr(slot, "edges", None)``), so every policy and the
-  per-slot simulator path keep working unchanged on plain slots.
+  that carries the precomputed extras.  The simulator reads them when
+  present (``truth_cells`` for the truth lookups, the sorted pair key for
+  assignment validation); policies reach ``edges`` only through
+  :func:`slot_layout`.
 
 Everything here is *derived* data — no random draws happen outside
 ``sample_slots`` — so a windowed trajectory is bit-identical to the
@@ -49,6 +56,7 @@ __all__ = [
     "precompute_eligibility",
     "precompute_slots",
     "precompute_window",
+    "slot_layout",
 ]
 
 
@@ -312,6 +320,31 @@ def precompute_slots(
         edge_pos += E
         seg_pos += M
     return slots
+
+
+def slot_layout(slot: SlotWorkload, partition: object | None = None) -> PrecomputedSlot:
+    """``slot`` with a :class:`SlotEdges` that fits it: the one slot layout.
+
+    The edges must match the slot's task count and, when ``partition`` is
+    given, carry that partition's cubes (the same object or a value-equal
+    one).  A fitting slot is returned as is; a slot without edges is laid
+    out by :func:`precompute_slots`, and one whose cubes are missing or
+    were classified for another partition is reclassified against
+    ``partition`` as it stands now (a stateful partition is never
+    classified ahead of time).  No random draw happens here.
+    """
+    edges = getattr(slot, "edges", None)
+    if edges is None or edges.num_tasks != len(slot.tasks):
+        return precompute_slots([slot], partition=partition)[0]
+    if partition is not None and (
+        edges.flat is None
+        or not (edges.partition is partition or edges.partition == partition)
+    ):
+        task_cubes = partition.assign(slot.tasks.contexts)
+        return dataclasses.replace(
+            slot, edges=classify_edges(edges, task_cubes, partition)
+        )
+    return slot
 
 
 def precompute_window(

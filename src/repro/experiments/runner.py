@@ -324,9 +324,10 @@ def _prefill_window_state(cfg: ExperimentConfig, policies: Sequence[str]) -> Non
 
     Called in the parent before the pool starts, so forked workers inherit
     the windows.  One prefill pass per distinct ``(window size, partition)``
-    combination among the requested policies — e.g. one partitioned pass for
-    LFSC and one partition-free pass shared by Oracle/vUCB/FML/Random.  A
-    no-op when nothing is cacheable (per-slot runs, trace workloads, ...).
+    combination among the requested policies — e.g. one partitioned pass
+    shared by LFSC, vUCB and FML (value-equal partitions share a key) and
+    one partition-free pass shared by Oracle and Random.  A no-op when
+    nothing is cacheable (per-slot runs, trace workloads, ...).
     """
     sim = build_simulation(cfg)
     if sim.window_cache is None or not getattr(sim.workload, "windowable", False):

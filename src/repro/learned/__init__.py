@@ -15,14 +15,15 @@ LFSC isolate the learning rule, not the combinatorial layer.
   across learners and hyperparameter variants deterministically under the
   ``LEARNED`` RNG namespace (stream contract v2 extension);
 - :mod:`repro.learned.features` — the batch inference path: per-edge feature
-  matrices built straight from the window-precomputed flat edge lists.
+  matrices gathered from the slot's flat edge list
+  (:func:`repro.env.window.slot_layout`).
 
 All three policies are registered in :mod:`repro.policies` under the specs
 ``linucb``, ``linthompson``, and ``dqn``.
 """
 
 from repro.learned.dqn import DQNPolicy
-from repro.learned.features import edge_lists, linear_features
+from repro.learned.features import linear_features
 from repro.learned.linucb import LinThompsonPolicy, LinUCBPolicy
 from repro.learned.replay import (
     RecordedStream,
@@ -40,7 +41,6 @@ __all__ = [
     "RecordedStream",
     "ReplayError",
     "ReplayWorkload",
-    "edge_lists",
     "linear_features",
     "record_stream",
     "replay",

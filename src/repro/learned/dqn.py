@@ -34,7 +34,7 @@ from repro.core.base import OffloadingPolicy
 from repro.core.greedy import greedy_select_edges
 from repro.env.network import NetworkConfig
 from repro.env.simulator import Assignment, SlotFeedback, SlotObservation
-from repro.learned.features import edge_lists
+from repro.env.window import slot_layout
 from repro.obs import runtime as obs_runtime
 from repro.utils.validation import check_positive
 
@@ -108,7 +108,7 @@ class DQNPolicy(OffloadingPolicy):
         self.eps0 = float(eps0)
         self.eps_final = float(eps_final)
         self.dim = 0
-        self._cache: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[int, np.ndarray, np.ndarray] | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -156,18 +156,19 @@ class DQNPolicy(OffloadingPolicy):
     def select(self, slot: SlotObservation) -> Assignment:
         network = self._require_reset()
         with obs_runtime.span("learned.dqn.score"):
-            scn, task, n = edge_lists(slot)
-            X = self._features(slot.tasks.contexts, scn, task)
+            pre = slot_layout(slot).edges
+            X = self._features(slot.tasks.contexts, pre.scn, pre.task)
             # Acting uses the target network: decisions move at the hard-copy
             # cadence instead of chasing every SGD step.
             if self.rng.random() < self.epsilon():
-                weights = self.rng.random(scn.shape[0])
+                weights = self.rng.random(pre.num_edges)
             else:
                 weights = self._forward(X, self.tW1, self.tb1, self.tW2, self.tb2)
-        self._cache = (slot.t, scn, task, X)
+        self._cache = (slot.t, pre.key, X)
         with obs_runtime.span("learned.dqn.greedy"):
             return greedy_select_edges(
-                scn, task, weights, network.num_scns, network.capacity, n
+                pre.scn, pre.task, weights, network.num_scns, network.capacity,
+                pre.num_tasks,
             )
 
     def _update(self, slot: SlotObservation, feedback: SlotFeedback) -> None:
@@ -177,10 +178,8 @@ class DQNPolicy(OffloadingPolicy):
         self._cache = None
         asn = feedback.assignment
         if len(asn) > 0:
-            _, scn, task, X = cache
-            n = len(slot.tasks)
-            key = scn * np.int64(n) + task
-            rows = np.searchsorted(key, asn.scn * np.int64(n) + asn.task)
+            _, key, X = cache
+            rows = np.searchsorted(key, asn.scn * np.int64(len(slot.tasks)) + asn.task)
             self._push(X[rows], feedback.g)
         if self.t % self.train_every == 0 and self.buf_fill >= self.batch:
             self._train_step()

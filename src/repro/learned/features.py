@@ -1,48 +1,23 @@
 """Per-edge feature extraction for the learned tier (batch inference path).
 
 Learned policies score every coverage edge (SCN m, task i) of a slot at
-once.  The feature matrices here are built straight from the flat edge
-arrays the windowed precompute already carries
-(:class:`repro.env.window.SlotEdges` — one gather per slot instead of a
-per-SCN Python loop), so learned policies ride the PR 4 windowed pipeline at
-full speed.  On plain per-slot slots the same edge layout is rebuilt from
-the coverage lists in the *same order* (SCN-major, tasks in coverage order),
-which keeps windowed and per-slot trajectories bit-identical: identical
-inputs into identical vectorized arithmetic.
+once.  The feature matrices here are gathered straight from the slot's flat
+edge arrays, which every policy reads through
+:func:`repro.env.window.slot_layout` (one gather per slot instead of a
+per-SCN Python loop).  A windowed slot hands over its precomputed
+:class:`~repro.env.window.SlotEdges`; a per-slot one is laid out the same
+way, in the same sorted order, so windowed and per-slot trajectories are
+bit-identical: identical inputs into identical vectorized arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.env.workload import SlotWorkload
-
-__all__ = ["edge_lists", "linear_features", "LINEAR_DIM"]
+__all__ = ["linear_features", "LINEAR_DIM"]
 
 #: Linear feature dimension: bias + the 3 normalized context coordinates.
 LINEAR_DIM = 4
-
-
-def edge_lists(slot: SlotWorkload) -> tuple[np.ndarray, np.ndarray, int]:
-    """The slot's flat coverage edge list ``(scn, task, num_tasks)``.
-
-    Windowed slots hand back their precomputed
-    :class:`~repro.env.window.SlotEdges` arrays (zero cost); per-slot slots
-    rebuild the identical SCN-major layout from the coverage lists.  The
-    synthetic workloads emit sorted coverage, so both paths produce the same
-    edge order — the property the bit-equivalence tests pin down.
-    """
-    n = len(slot.tasks)
-    edges = getattr(slot, "edges", None)
-    if edges is not None and edges.num_tasks == n:
-        return edges.scn, edges.task, n
-    coverage = [np.asarray(c, dtype=np.int64) for c in slot.coverage]
-    lengths = np.fromiter(
-        (c.shape[0] for c in coverage), dtype=np.int64, count=len(coverage)
-    )
-    task = np.concatenate(coverage) if coverage else np.empty(0, np.int64)
-    scn = np.repeat(np.arange(len(coverage), dtype=np.int64), lengths)
-    return scn, task, n
 
 
 def linear_features(contexts: np.ndarray, task: np.ndarray) -> np.ndarray:

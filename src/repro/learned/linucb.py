@@ -14,8 +14,8 @@ and linear Thompson replaces the width with a posterior draw
 greedy assignment (:func:`repro.core.greedy.greedy_select_edges`) unchanged
 — the learner proposes, the solver disposes.
 
-Everything is vectorized over the slot's flat edge list (the batch inference
-path of :mod:`repro.learned.features`): one batched (M, 4, 4) inverse, one
+Everything is vectorized over the slot's flat edge list
+(:func:`repro.env.window.slot_layout`): one batched (M, 4, 4) inverse, one
 einsum for the means, one for the widths.  The per-slot and windowed paths
 run the identical arithmetic on identical edge arrays, so trajectories are
 bit-identical across window sizes (``tests/learned`` pins this).
@@ -33,7 +33,8 @@ from repro.core.base import OffloadingPolicy
 from repro.core.greedy import greedy_select_edges
 from repro.env.network import NetworkConfig
 from repro.env.simulator import Assignment, SlotFeedback, SlotObservation
-from repro.learned.features import LINEAR_DIM, edge_lists, linear_features
+from repro.env.window import slot_layout
+from repro.learned.features import LINEAR_DIM, linear_features
 from repro.obs import runtime as obs_runtime
 from repro.utils.validation import check_positive
 
@@ -49,7 +50,7 @@ class _LinearScorer(OffloadingPolicy):
         self.l2 = float(l2)
         self.A: np.ndarray | None = None  # (M, d, d) Gram matrices
         self.b: np.ndarray | None = None  # (M, d) response vectors
-        self._cache: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def reset(self, network: NetworkConfig, horizon: int, rng: np.random.Generator) -> None:
         super().reset(network, horizon, rng)
@@ -73,16 +74,17 @@ class _LinearScorer(OffloadingPolicy):
         network = self._require_reset()
         assert self.A is not None and self.b is not None
         with obs_runtime.span("learned.linear.score"):
-            scn, task, n = edge_lists(slot)
-            X = linear_features(slot.tasks.contexts, task)
+            pre = slot_layout(slot).edges
+            X = linear_features(slot.tasks.contexts, pre.task)
             # Batched tiny solves: one LAPACK call for all M (4, 4) systems.
             A_inv = np.linalg.inv(self.A)
             theta = np.einsum("mij,mj->mi", A_inv, self.b)
-            weights = self._edge_scores(scn, X, theta, A_inv)
-        self._cache = (slot.t, scn, task, X)
+            weights = self._edge_scores(pre.scn, X, theta, A_inv)
+        self._cache = (slot.t, pre.key, X)
         with obs_runtime.span("learned.linear.greedy"):
             return greedy_select_edges(
-                scn, task, weights, network.num_scns, network.capacity, n
+                pre.scn, pre.task, weights, network.num_scns, network.capacity,
+                pre.num_tasks,
             )
 
     def _update(self, slot: SlotObservation, feedback: SlotFeedback) -> None:
@@ -94,13 +96,11 @@ class _LinearScorer(OffloadingPolicy):
         asn = feedback.assignment
         if len(asn) == 0:
             return
-        _, scn, task, X = cache
-        # The edge key (scn·n + task) is sorted — SCN-major segments, tasks
-        # sorted within — so each assigned pair's cached feature row is one
-        # searchsorted away.
-        n = len(slot.tasks)
-        key = scn * np.int64(n) + task
-        rows = np.searchsorted(key, asn.scn * np.int64(n) + asn.task)
+        _, key, X = cache
+        # The layout's pair key (scn·n + task) is sorted — SCN-major
+        # segments, tasks sorted within — so each assigned pair's cached
+        # feature row is one searchsorted away.
+        rows = np.searchsorted(key, asn.scn * np.int64(len(slot.tasks)) + asn.task)
         Xa = X[rows]
         g = feedback.g
         for m in np.unique(asn.scn):

@@ -11,18 +11,25 @@ bookkeeping, so any divergence here means the streaming layer leaked into
 the randomness or reordered arithmetic.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import policies
+from repro.core.hypercube import ContextPartition
 from repro.core.lfsc import LFSCPolicy
 from repro.env.simulator import DEFAULT_WINDOW, effective_window
-from repro.env.window import PrecomputedSlot, precompute_window
+from repro.env.window import PrecomputedSlot, precompute_window, slot_layout
+from repro.env.workload import SlotWorkload, TraceWorkload
 from repro.experiments.runner import (
     ExperimentConfig,
     build_simulation,
     build_truth,
     build_workload,
+    make_policy,
 )
+from repro.solvers.cache import reset_shared_cache
 
 HORIZON = 40
 WINDOWS = (1, 7, 64)  # 7 does not divide 40; 64 exceeds the horizon
@@ -175,3 +182,95 @@ class TestEffectiveWindow:
         assert size(None) == DEFAULT_WINDOW
         assert size(5) == 5
         assert size(0) == 0
+
+
+def _reversed_trace_simulation(cfg: ExperimentConfig):
+    """``cfg``'s simulation on a recorded trace whose coverage lists run backwards."""
+    sim = build_simulation(cfg)
+    recorded = TraceWorkload.record(sim.workload, cfg.horizon, np.random.default_rng(cfg.seed))
+    trace = TraceWorkload(
+        slots=[
+            SlotWorkload(
+                t=s.t, tasks=s.tasks,
+                coverage=[np.asarray(c, dtype=np.int64)[::-1].copy() for c in s.coverage],
+            )
+            for s in recorded.slots
+        ]
+    )
+    return dataclasses.replace(sim, workload=trace)
+
+
+class TestEveryPolicyWindowed:
+    """Windowed ≡ per-slot for every registered policy, also on unsorted coverage.
+
+    Every policy reads its slot through ``slot_layout``, so a per-slot slot
+    and a windowed one reach it in the same sorted edge order — a trace
+    whose coverage lists are not sorted must not split the two paths.
+    """
+
+    @pytest.mark.parametrize("workload", ["synthetic", "unsorted-trace"])
+    @pytest.mark.parametrize("name", policies.names())
+    def test_bit_identical_to_per_slot(self, name, workload):
+        cfg = ExperimentConfig.small(horizon=24, seed=4, shared_window=False)
+
+        def run(window: int):
+            reset_shared_cache()
+            if workload == "synthetic":
+                sim = build_simulation(cfg)
+            else:
+                sim = _reversed_trace_simulation(cfg)
+            return sim.run(make_policy(name, cfg, sim.truth), cfg.horizon, window=window)
+
+        _assert_identical(run(0), run(32))
+
+
+class TestSlotLayout:
+    def _slots(self):
+        cfg = _cfg()
+        workload = build_workload(cfg)
+        raw = workload.slot(0, np.random.default_rng(3))
+        win = precompute_window(
+            build_workload(cfg), 0, 1, np.random.default_rng(3), partition=cfg.partition
+        )
+        return cfg, raw, win.slots[0]
+
+    def test_fitting_slot_is_returned_as_is(self):
+        cfg, _, pre = self._slots()
+        assert slot_layout(pre) is pre
+        assert slot_layout(pre, cfg.partition) is pre
+        # A value-equal partition shares the window's cubes.
+        assert slot_layout(pre, ContextPartition(dims=cfg.dims, parts=cfg.parts)) is pre
+
+    def test_plain_slot_is_laid_out_sorted(self):
+        cfg, raw, pre = self._slots()
+        backwards = SlotWorkload(
+            t=raw.t, tasks=raw.tasks, coverage=[np.asarray(c)[::-1] for c in raw.coverage]
+        )
+        laid = slot_layout(backwards, cfg.partition)
+        for field in ("scn", "task", "key", "cube", "flat", "offsets"):
+            np.testing.assert_array_equal(getattr(laid.edges, field), getattr(pre.edges, field))
+        # The caller's slot is not touched.
+        assert np.all(np.diff(np.asarray(backwards.coverage[0])) <= 0)
+
+    def test_other_partition_is_reclassified(self):
+        cfg, raw, pre = self._slots()
+        finer = ContextPartition(dims=cfg.dims, parts=cfg.parts + 1)
+        laid = slot_layout(pre, finer)
+        assert laid.edges.partition is finer
+        assert laid.edges.num_cubes == finer.num_cubes
+        np.testing.assert_array_equal(
+            laid.edges.cube, finer.assign(raw.tasks.contexts)[laid.edges.task]
+        )
+        np.testing.assert_array_equal(laid.edges.task, pre.edges.task)
+
+    def test_stale_edges_are_rebuilt(self):
+        # A wrapper that swaps the tasks but keeps the old edges.
+        cfg, _, pre = self._slots()
+        other = build_workload(cfg).slot(5, np.random.default_rng(9))
+        stale = dataclasses.replace(pre, tasks=other.tasks, coverage=other.coverage)
+        assert len(other.tasks) != len(pre.tasks)
+        laid = slot_layout(stale)
+        assert laid.edges.num_tasks == len(other.tasks)
+        np.testing.assert_array_equal(
+            laid.edges.task, np.concatenate([np.sort(c) for c in other.coverage])
+        )
